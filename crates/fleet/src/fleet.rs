@@ -18,8 +18,8 @@ use std::path::Path;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::DetectionScheme;
-use mpdf_session::checkpoint::decode_snapshot;
-use mpdf_session::{SessionConfig, SessionRuntime};
+use mpdf_session::checkpoint::decode_snapshot_body;
+use mpdf_session::{SessionConfig, SessionDelta, SessionRuntime};
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::log::{LogIo, ShardLog, StdIo};
@@ -309,7 +309,8 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
     }
 
     /// Recovers one shard from its log: every link homed there is
-    /// rebuilt from its latest durable record using the constants
+    /// rebuilt from its durable chain (base snapshot, then each delta
+    /// applied in order) using the constants
     /// captured at registration. After recovery the driver replays the
     /// deliveries its ledger holds past each link's restored event
     /// count.
@@ -323,13 +324,16 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Fleet<S, IO> {
             return Err(FleetError::UnknownShard(shard));
         }
         let constants = &self.constants;
-        let rec = self.shards[shard as usize].recover(|link, snap| {
+        let rec = self.shards[shard as usize].recover(|link, base, deltas| {
             let Some(c) = constants.get(&link) else {
                 // A link in the log that was never registered this run:
                 // restore it with nothing to go on is impossible.
                 return Err(FleetError::MissingSnapshot(link));
             };
-            let snapshot = decode_snapshot(snap, &c.detector)?;
+            let mut snapshot = decode_snapshot_body(base, &c.detector)?;
+            for delta in deltas {
+                SessionDelta::decode(delta)?.apply_to(&mut snapshot)?;
+            }
             SessionRuntime::from_snapshot(
                 snapshot,
                 c.scheme.clone(),

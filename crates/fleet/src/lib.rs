@@ -15,8 +15,11 @@
 //!   exponential backoff; it never takes down its shard.
 //! - **Crash-recoverable shard logs** — one append-only, CRC-framed,
 //!   generation-numbered [`log::ShardLog`] per shard multiplexes all of
-//!   its sessions (replacing file-per-session at fleet scale), with
-//!   torn-tail truncation and `.bak` last-good-generation fallback.
+//!   its sessions (replacing file-per-session at fleet scale): a delta
+//!   record per delivered window, full base records only at birth,
+//!   recalibration and compaction, one group commit (one fsync) per
+//!   shard tick, with torn-tail truncation and `.bak`
+//!   last-good-generation fallback.
 //! - **Overload shedding** — bounded per-shard ingest with typed
 //!   backpressure ([`shard::LinkOutcome::Shed`]); shedding is
 //!   vacancy-biased so presence-positive links are shed last.
@@ -46,7 +49,9 @@ use std::fmt;
 
 pub use crate::fleet::{Fleet, LinkWindow, RecoveryReport, RoomVerdict, TickReport};
 pub use crate::link::{LinkFault, LinkHealth, LinkMeta};
-pub use crate::log::{LogError, LogIo, LogRecovery, ShardLog, StdIo};
+pub use crate::log::{
+    Batch, LinkChain, LogError, LogImage, LogIo, LogRecovery, RecordKind, ShardLog, StdIo,
+};
 pub use crate::shard::{LinkOutcome, LinkRecord, Shard, ShardTick};
 
 use mpdf_session::CheckpointError;

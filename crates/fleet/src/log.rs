@@ -1,59 +1,92 @@
 //! Append-only, CRC-framed, generation-numbered shard checkpoint logs.
 //!
-//! One log per shard multiplexes the snapshots of every session the
-//! shard runs — at fleet scale this replaces file-per-session
-//! checkpointing (thousands of tiny files and fsyncs) with one
-//! sequentially-appended file per failure domain.
+//! One log per shard multiplexes the records of every session the shard
+//! runs — at fleet scale this replaces file-per-session checkpointing
+//! (thousands of tiny files and fsyncs) with one sequentially-appended
+//! file per failure domain.
 //!
 //! ## On-disk layout (all little-endian)
 //!
 //! ```text
 //! header   magic    b"MPSL"        4 bytes
-//!          version  u16            2
+//!          version  u16            2   (2; version-1 files are rejected)
 //!          shard    u32            4
 //! record   sync     b"RC"          2
+//!          kind     u8             1   (0 = base, 1 = delta)
 //!          gen      u64            8   (log-wide generation number)
 //!          link     u64            8
 //!          len      u32            4   (payload byte count)
-//!          payload  [len bytes]        (LinkMeta ‖ session snapshot)
-//!          crc      u64            8   CRC-64/ECMA over gen..payload
+//!          payload  [len bytes]
+//!          crc      u64            8   CRC-64/WE over kind..payload
 //! ```
 //!
-//! Recovery scans records in file order, keeping the **latest image per
-//! link**; the first frame that fails its sync marker, length bound or
-//! CRC ends the scan and everything from there on is truncated as a
-//! torn tail (a crash mid-append can only damage the suffix). If the
-//! header itself is damaged the previous-good `.bak` rotation — written
-//! by compaction — is recovered instead. Generation numbers strictly
-//! increase across appends, so the newest surviving record per link is
-//! unambiguous even after compaction rewrites.
+//! ## Record kinds
+//!
+//! A **base** record holds a link's full image; a **delta** record holds
+//! what changed since the link's previous record. A link's *chain* is
+//! its latest base followed by every delta after it, and replaying the
+//! chain in order rebuilds the link. The log never looks inside a
+//! payload: it only keeps chains whole.
+//!
+//! ## Group commit
+//!
+//! Records are staged in a [`Batch`] and committed with **one**
+//! [`LogIo::append`] — one write, one fsync — however many links they
+//! cover. Generation numbers and CRCs are stamped at commit time, so a
+//! batch can be filled before the log knows where it will land.
+//!
+//! ## Recovery
+//!
+//! The scan walks frames in file order and stops at the first frame
+//! that fails its sync marker, length bound, CRC or kind tag, at a
+//! delta whose link has no base yet, and at any generation that does not
+//! increase. The one tolerated exception is an exact **duplicate** — a
+//! frame whose generation was already applied to the same link — which
+//! a transient-error retry of a whole append can leave behind; it is
+//! skipped, never applied twice. Everything past the stop is truncated as
+//! a torn tail (a crash mid-append can only damage the suffix), so every
+//! link recovers a prefix of its history. If the header itself is
+//! damaged the previous-good `.bak` rotation — written by compaction —
+//! is recovered instead.
+//!
+//! ## Compaction
+//!
+//! Compaction is driven by the shard: it hands [`ShardLog::compact`] a
+//! fresh base for every link it hosts, and the log copies the chains of
+//! links that have records here but no fresh base (evicted dead links)
+//! verbatim, so those still recover dead. The previous file is rotated
+//! to `.bak`.
 //!
 //! All IO flows through the [`LogIo`] trait: production uses [`StdIo`]
 //! (real files, full fsync discipline), the chaos harness swaps in
 //! [`crate::chaos::FaultIo`] to inject seeded torn writes and transient
 //! errors without touching this module's logic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// Shard-log file magic.
 pub const LOG_MAGIC: &[u8; 4] = b"MPSL";
 /// Current shard-log format version.
-pub const LOG_VERSION: u16 = 1;
+pub const LOG_VERSION: u16 = 2;
 /// Byte length of the file header.
 pub const HEADER_LEN: usize = 10;
-/// Per-record framing overhead (sync + gen + link + len + crc).
-pub const RECORD_OVERHEAD: usize = 2 + 8 + 8 + 4 + 8;
+/// Per-record framing overhead (sync + kind + gen + link + len + crc).
+pub const RECORD_OVERHEAD: usize = FRAME_HEAD + 8;
 /// Largest admissible record payload; larger lengths in a frame are
 /// treated as corruption, not allocation requests.
 pub const MAX_RECORD_PAYLOAD: usize = 1 << 28;
 
+/// Bytes of a frame before its payload.
+const FRAME_HEAD: usize = 2 + 1 + 8 + 8 + 4;
 const RECORD_SYNC: &[u8; 2] = b"RC";
 const IO_ATTEMPTS: u32 = 4;
+const CRC64_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
 /// Errors produced by shard-log operations.
 #[derive(Debug)]
@@ -110,34 +143,58 @@ impl From<std::io::Error> for LogError {
     }
 }
 
-/// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
-/// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
-/// leading-zero damage and the empty input are distinguishable.
-pub fn crc64(data: &[u8]) -> u64 {
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u64; 256];
-        let mut i = 0usize;
-        while i < 256 {
+/// Slicing-by-8 tables: `t[0]` is the classic byte table, `t[k]` the
+/// contribution of a byte followed by `k` zero bytes.
+fn crc_tables() -> &'static [[u64; 256]; 8] {
+    static TABLES: OnceLock<[[u64; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u64; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut crc = (i as u64) << 56;
-            let mut b = 0;
-            while b < 8 {
+            for _ in 0..8 {
                 crc = if crc & (1 << 63) != 0 {
-                    (crc << 1) ^ 0x42F0_E1EB_A9EA_3693
+                    (crc << 1) ^ CRC64_POLY
                 } else {
                     crc << 1
                 };
-                b += 1;
             }
-            t[i] = crc;
-            i += 1;
+            *entry = crc;
+        }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev << 8) ^ t[0][(prev >> 56) as usize];
+            }
         }
         t
-    });
+    })
+}
+
+/// CRC-64 over the ECMA-182 polynomial (`0x42F0E1EBA9EA3693`),
+/// MSB-first, with all-ones init and xorout (the CRC-64/WE profile) so
+/// leading-zero damage and the empty input are distinguishable. Eight
+/// bytes per step (slicing-by-8), bit-identical to the byte-at-a-time
+/// definition.
+pub fn crc64(data: &[u8]) -> u64 {
+    let t = crc_tables();
     let mut crc = !0u64;
-    for &byte in data {
-        let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
-        crc = (crc << 8) ^ table[idx];
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let mut be = [0u8; 8];
+        be.copy_from_slice(word);
+        let x = crc ^ u64::from_be_bytes(be);
+        let byte = |shift: u32| (x >> shift) as usize & 0xFF;
+        crc = t[7][byte(56)]
+            ^ t[6][byte(48)]
+            ^ t[5][byte(40)]
+            ^ t[4][byte(32)]
+            ^ t[3][byte(24)]
+            ^ t[2][byte(16)]
+            ^ t[1][byte(8)]
+            ^ t[0][byte(0)];
+    }
+    for &b in words.remainder() {
+        crc = (crc << 8) ^ t[0][((crc >> 56) ^ u64::from(b)) as usize & 0xFF];
     }
     !crc
 }
@@ -215,6 +272,9 @@ fn transient(kind: std::io::ErrorKind) -> bool {
 
 /// Bounded deterministic retry on transient IO errors, mirroring the
 /// session checkpoint store. Counted on `fleet.log.io_retries_total`.
+/// A retried append re-writes its whole batch, so frames that had
+/// already landed before the error can appear twice; the scan skips
+/// such duplicates.
 fn retry_io<T, F: FnMut() -> std::io::Result<T>>(mut op: F) -> std::io::Result<T> {
     let mut attempt = 1;
     loop {
@@ -232,11 +292,137 @@ fn retry_io<T, F: FnMut() -> std::io::Result<T>>(mut op: F) -> std::io::Result<T
     }
 }
 
+/// What a record's payload holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// A full image: the link's chain restarts here.
+    Base,
+    /// A change against the link's previous record.
+    Delta,
+}
+
+impl RecordKind {
+    fn tag(self) -> u8 {
+        match self {
+            RecordKind::Base => 0,
+            RecordKind::Delta => 1,
+        }
+    }
+
+    fn from_tag(tag: u8) -> Option<RecordKind> {
+        match tag {
+            0 => Some(RecordKind::Base),
+            1 => Some(RecordKind::Delta),
+            _ => None,
+        }
+    }
+}
+
+/// Records staged for one group commit ([`ShardLog::commit`]) or one
+/// compaction ([`ShardLog::compact`]). Payloads are written in place
+/// into the frame buffer; generations and CRCs are stamped when the
+/// batch is committed.
+#[derive(Debug, Default)]
+pub struct Batch {
+    bytes: Vec<u8>,
+    /// `(frame start, link)` per staged record, in staging order.
+    frames: Vec<(usize, u64)>,
+}
+
+impl Batch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Batch::default()
+    }
+
+    /// Records staged so far.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Stages one record whose payload `write` appends in place.
+    /// `payload_hint` is the expected payload length: the frame is
+    /// reserved for it up front, so an exact hint means one allocation
+    /// and no copy.
+    ///
+    /// # Errors
+    /// Whatever `write` returns, or [`LogError::TooLarge`] for a payload
+    /// past [`MAX_RECORD_PAYLOAD`]. On error nothing is staged.
+    pub fn push_with<E, F>(
+        &mut self,
+        kind: RecordKind,
+        link: u64,
+        payload_hint: usize,
+        write: F,
+    ) -> Result<(), E>
+    where
+        E: From<LogError>,
+        F: FnOnce(&mut Vec<u8>) -> Result<(), E>,
+    {
+        let start = self.bytes.len();
+        self.bytes.reserve(RECORD_OVERHEAD + payload_hint);
+        self.bytes.extend_from_slice(RECORD_SYNC);
+        self.bytes.push(kind.tag());
+        // Generation and length are placeholders until sealed/measured.
+        self.bytes.extend_from_slice(&[0u8; 8]);
+        self.bytes.extend_from_slice(&link.to_le_bytes());
+        self.bytes.extend_from_slice(&[0u8; 4]);
+        if let Err(e) = write(&mut self.bytes) {
+            self.bytes.truncate(start);
+            return Err(e);
+        }
+        let len = self.bytes.len() - start - FRAME_HEAD;
+        let len32 = match u32::try_from(len) {
+            Ok(n) if len <= MAX_RECORD_PAYLOAD => n,
+            _ => {
+                self.bytes.truncate(start);
+                return Err(LogError::TooLarge { len }.into());
+            }
+        };
+        self.bytes[start + 19..start + FRAME_HEAD].copy_from_slice(&len32.to_le_bytes());
+        self.bytes.extend_from_slice(&[0u8; 8]);
+        self.frames.push((start, link));
+        Ok(())
+    }
+
+    /// Stages one record with a ready-made payload.
+    ///
+    /// # Errors
+    /// [`LogError::TooLarge`] for a payload past [`MAX_RECORD_PAYLOAD`].
+    pub fn push(&mut self, kind: RecordKind, link: u64, payload: &[u8]) -> Result<(), LogError> {
+        self.push_with(kind, link, payload.len(), |out| {
+            out.extend_from_slice(payload);
+            Ok(())
+        })
+    }
+
+    /// Stamps generations `first_gen..` and every frame's CRC.
+    fn seal(&mut self, first_gen: u64) {
+        for i in 0..self.frames.len() {
+            let start = self.frames[i].0;
+            let end = self.frames.get(i + 1).map_or(self.bytes.len(), |f| f.0);
+            // Saturates rather than wraps: generations read back from a
+            // damaged file can sit anywhere in the u64 range.
+            let gen = first_gen.saturating_add(i as u64);
+            self.bytes[start + 3..start + 11].copy_from_slice(&gen.to_le_bytes());
+            let crc = crc64(&self.bytes[start + 2..end - 8]);
+            self.bytes[end - 8..end].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+}
+
 /// What a [`ShardLog::open`]/[`ShardLog::recover`] pass found on disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogRecovery {
-    /// Valid records scanned (pre-dedup, file order).
+    /// Valid records applied (file order, duplicates excluded).
     pub records: usize,
+    /// Duplicate frames skipped (a retried append that had landed).
+    pub duplicates: usize,
     /// Bytes truncated off a torn tail (0 for a clean log).
     pub torn_bytes: usize,
     /// Whether the primary was unusable and the `.bak` rotation was
@@ -244,11 +430,86 @@ pub struct LogRecovery {
     pub used_bak: bool,
 }
 
+/// One link's surviving records, payloads only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkChain<'a> {
+    /// The latest base record.
+    pub base: &'a [u8],
+    /// Every delta after it, oldest first.
+    pub deltas: Vec<&'a [u8]>,
+}
+
+/// The surviving records of a recovered log, by link.
+#[derive(Debug, Default)]
+pub struct LogImage {
+    data: Vec<u8>,
+    chains: BTreeMap<u64, Vec<Range<usize>>>,
+}
+
+impl LogImage {
+    /// Each link's chain, in link order.
+    pub fn chains(&self) -> impl Iterator<Item = (u64, LinkChain<'_>)> {
+        self.chains.iter().filter_map(|(&link, frames)| {
+            let (base, deltas) = frames.split_first()?;
+            Some((
+                link,
+                LinkChain {
+                    base: payload(&self.data, base),
+                    deltas: deltas.iter().map(|r| payload(&self.data, r)).collect(),
+                },
+            ))
+        })
+    }
+}
+
+fn payload<'a>(data: &'a [u8], frame: &Range<usize>) -> &'a [u8] {
+    &data[frame.start + FRAME_HEAD..frame.end - 8]
+}
+
+struct Frame {
+    kind: RecordKind,
+    gen: u64,
+    link: u64,
+    /// Whole-frame byte length.
+    len: usize,
+}
+
+fn read_u64(data: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&data[..8]);
+    u64::from_le_bytes(bytes)
+}
+
+/// Parses the frame at the start of `rest`; `None` when it fails its
+/// sync marker, length bound, CRC or kind tag.
+fn parse_frame(rest: &[u8]) -> Option<Frame> {
+    if rest.len() < RECORD_OVERHEAD || &rest[..2] != RECORD_SYNC {
+        return None;
+    }
+    let len = u32::from_le_bytes([rest[19], rest[20], rest[21], rest[22]]) as usize;
+    if len > MAX_RECORD_PAYLOAD || rest.len() < RECORD_OVERHEAD + len {
+        return None;
+    }
+    let end = FRAME_HEAD + len;
+    if read_u64(&rest[end..]) != crc64(&rest[2..end]) {
+        return None;
+    }
+    Some(Frame {
+        kind: RecordKind::from_tag(rest[2])?,
+        gen: read_u64(&rest[3..]),
+        link: read_u64(&rest[11..]),
+        len: RECORD_OVERHEAD + len,
+    })
+}
+
 struct Scan {
-    live: BTreeMap<u64, (u64, Vec<u8>)>,
+    /// Frame ranges of each link's chain: latest base, then its deltas.
+    chains: BTreeMap<u64, Vec<Range<usize>>>,
     next_gen: u64,
     records: usize,
-    torn_bytes: usize,
+    duplicates: usize,
+    /// End of the valid prefix.
+    end: usize,
 }
 
 fn header_bytes(shard: u32) -> Vec<u8> {
@@ -259,24 +520,7 @@ fn header_bytes(shard: u32) -> Vec<u8> {
     bytes
 }
 
-fn frame_record(out: &mut Vec<u8>, gen: u64, link: u64, payload: &[u8]) {
-    let start = out.len();
-    out.extend_from_slice(RECORD_SYNC);
-    out.extend_from_slice(&gen.to_le_bytes());
-    out.extend_from_slice(&link.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc64(&out[start + 2..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-}
-
-fn read_u64(data: &[u8]) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&data[..8]);
-    u64::from_le_bytes(bytes)
-}
-
-fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
+fn check_header(data: &[u8], shard: u32) -> Result<(), LogError> {
     if data.len() < HEADER_LEN {
         return Err(LogError::BadHeader(format!(
             "{} bytes is shorter than the {HEADER_LEN} byte header",
@@ -297,40 +541,48 @@ fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
             found,
         });
     }
-    let mut live = BTreeMap::new();
-    let mut next_gen = 1u64;
+    Ok(())
+}
+
+fn scan(data: &[u8], shard: u32) -> Result<Scan, LogError> {
+    check_header(data, shard)?;
+    let mut chains: BTreeMap<u64, Vec<Range<usize>>> = BTreeMap::new();
+    // Generation -> link of every applied frame, to tell a duplicate
+    // from an out-of-order frame.
+    let mut applied: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut last_gen = 0u64;
     let mut records = 0usize;
+    let mut duplicates = 0usize;
     let mut off = HEADER_LEN;
-    loop {
-        if off == data.len() {
-            break;
+    while let Some(frame) = parse_frame(&data[off..]) {
+        let range = off..off + frame.len;
+        if frame.gen <= last_gen {
+            if applied.get(&frame.gen) != Some(&frame.link) {
+                break;
+            }
+            duplicates += 1;
+        } else {
+            match frame.kind {
+                RecordKind::Base => {
+                    chains.insert(frame.link, vec![range.clone()]);
+                }
+                RecordKind::Delta => match chains.get_mut(&frame.link) {
+                    Some(chain) => chain.push(range.clone()),
+                    None => break,
+                },
+            }
+            applied.insert(frame.gen, frame.link);
+            last_gen = frame.gen;
+            records += 1;
         }
-        let rest = &data[off..];
-        if rest.len() < RECORD_OVERHEAD || &rest[..2] != RECORD_SYNC {
-            break;
-        }
-        let gen = read_u64(&rest[2..]);
-        let link = read_u64(&rest[10..]);
-        let len = u32::from_le_bytes([rest[18], rest[19], rest[20], rest[21]]) as usize;
-        if len > MAX_RECORD_PAYLOAD || rest.len() < RECORD_OVERHEAD + len {
-            break;
-        }
-        let payload_end = 22 + len;
-        let stored = read_u64(&rest[payload_end..]);
-        let computed = crc64(&rest[2..payload_end]);
-        if stored != computed {
-            break;
-        }
-        live.insert(link, (gen, rest[22..payload_end].to_vec()));
-        next_gen = next_gen.max(gen.saturating_add(1));
-        records += 1;
-        off += RECORD_OVERHEAD + len;
+        off = range.end;
     }
     Ok(Scan {
-        live,
-        next_gen,
+        chains,
+        next_gen: last_gen.saturating_add(1),
         records,
-        torn_bytes: data.len() - off,
+        duplicates,
+        end: off,
     })
 }
 
@@ -342,9 +594,10 @@ pub struct ShardLog<IO: LogIo> {
     bak: PathBuf,
     shard: u32,
     next_gen: u64,
-    live: BTreeMap<u64, (u64, Vec<u8>)>,
+    /// Links with a chain in the primary file.
+    links: BTreeSet<u64>,
     compact_every: usize,
-    appends_since_compact: usize,
+    records_since_compact: usize,
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -355,9 +608,10 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 
 impl<IO: LogIo> ShardLog<IO> {
     /// Opens (or creates) the shard log at `path`, recovering whatever
-    /// state survives on disk. `compact_every` bounds log growth: after
-    /// that many appends the log is rewritten to one latest record per
-    /// link (`0` disables compaction).
+    /// state survives on disk. `compact_every` bounds log growth: once
+    /// that many records have been appended since the last compaction,
+    /// [`Self::compaction_due`] asks the owner to compact (`0` disables
+    /// compaction).
     ///
     /// # Errors
     /// IO failures, or typed corruption errors when neither the primary
@@ -376,11 +630,11 @@ impl<IO: LogIo> ShardLog<IO> {
             bak,
             shard,
             next_gen: 1,
-            live: BTreeMap::new(),
+            links: BTreeSet::new(),
             compact_every,
-            appends_since_compact: 0,
+            records_since_compact: 0,
         };
-        let recovery = log.recover()?;
+        let (recovery, _) = log.recover()?;
         Ok((log, recovery))
     }
 
@@ -389,149 +643,157 @@ impl<IO: LogIo> ShardLog<IO> {
         &self.path
     }
 
-    /// Latest surviving payload per link, in link order.
-    pub fn live(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.live.iter().map(|(&link, (_, p))| (link, p.as_slice()))
-    }
-
-    /// Number of links with a live record.
+    /// Number of links with a chain in the log.
     pub fn live_links(&self) -> usize {
-        self.live.len()
+        self.links.len()
     }
 
-    /// Re-reads the on-disk state, discarding the in-memory image — the
-    /// moral equivalent of a process restart. Torn tails are truncated
-    /// (counted on `fleet.log.torn_tails_total`); an unreadable primary
-    /// falls back to the `.bak` rotation (`fleet.log.bak_fallbacks_total`).
+    /// Re-reads the on-disk state — the moral equivalent of a process
+    /// restart — and returns every surviving chain. Torn tails are
+    /// truncated (counted on `fleet.log.torn_tails_total`); an unreadable
+    /// primary falls back to the `.bak` rotation
+    /// (`fleet.log.bak_fallbacks_total`).
     ///
     /// # Errors
     /// IO failures, or the *primary's* typed corruption error when the
     /// `.bak` fallback is also unusable.
-    pub fn recover(&mut self) -> Result<LogRecovery, LogError> {
-        self.live.clear();
+    pub fn recover(&mut self) -> Result<(LogRecovery, LogImage), LogError> {
+        self.links.clear();
         self.next_gen = 1;
-        self.appends_since_compact = 0;
+        self.records_since_compact = 0;
 
-        let primary_scan = if self.io.exists(&self.path) {
+        let primary = if self.io.exists(&self.path) {
             let data = retry_io(|| self.io.read(&self.path))?;
-            Some(scan(&data, self.shard))
+            Some(scan(&data, self.shard).map(|s| (data, s)))
         } else {
             None
         };
 
-        let (chosen, used_bak) = match primary_scan {
-            Some(Ok(s)) => (Some(s), false),
+        let (data, s, used_bak) = match primary {
+            Some(Ok((data, s))) => (data, s, false),
             // Primary unreadable at the header level (or missing): try
             // the previous-good rotation before giving up.
-            Some(Err(primary_err)) => match self.recover_bak()? {
-                Some(s) => (Some(s), true),
+            Some(Err(primary_err)) => match self.read_bak()? {
+                Some((data, s)) => (data, s, true),
                 None => return Err(primary_err),
             },
-            None => match self.recover_bak()? {
-                Some(s) => (Some(s), true),
+            None => match self.read_bak()? {
+                Some((data, s)) => (data, s, true),
                 None => {
                     // Fresh log: durably write the header so appends have
                     // a valid file to extend.
                     retry_io(|| self.io.replace(&self.path, &header_bytes(self.shard)))?;
-                    return Ok(LogRecovery {
-                        records: 0,
-                        torn_bytes: 0,
-                        used_bak: false,
-                    });
+                    return Ok((LogRecovery::default(), LogImage::default()));
                 }
             },
         };
 
-        // `chosen` is always Some here; destructure without panicking.
-        let Some(s) = chosen else {
-            return Err(LogError::BadHeader("empty recovery state".to_string()));
-        };
-        self.live = s.live;
-        self.next_gen = s.next_gen;
-        if s.torn_bytes > 0 {
+        let torn_bytes = data.len() - s.end;
+        if torn_bytes > 0 {
             mpdf_obs::counter!("fleet.log.torn_tails_total").inc();
         }
         if used_bak {
             mpdf_obs::counter!("fleet.log.bak_fallbacks_total").inc();
         }
-        if s.torn_bytes > 0 || used_bak {
-            // Rebuild the primary from the surviving records so appends
+        if torn_bytes > 0 || used_bak {
+            // Rebuild the primary from the surviving prefix so appends
             // extend a clean file. The .bak rotation is left untouched:
-            // it still holds the last known-good full image.
-            self.rewrite_primary()?;
+            // it still holds the last known-good image.
+            retry_io(|| self.io.replace(&self.path, &data[..s.end]))?;
         }
-        Ok(LogRecovery {
-            records: s.records,
-            torn_bytes: s.torn_bytes,
-            used_bak,
-        })
+        self.next_gen = s.next_gen;
+        self.links = s.chains.keys().copied().collect();
+        // Every record past one per link is what a compaction folds
+        // away; counting them keeps a shard that is recovered more often
+        // than it compacts from growing its log without bound.
+        self.records_since_compact = s.records.saturating_sub(s.chains.len());
+        Ok((
+            LogRecovery {
+                records: s.records,
+                duplicates: s.duplicates,
+                torn_bytes,
+                used_bak,
+            },
+            LogImage {
+                data,
+                chains: s.chains,
+            },
+        ))
     }
 
-    fn recover_bak(&mut self) -> Result<Option<Scan>, LogError> {
+    fn read_bak(&mut self) -> Result<Option<(Vec<u8>, Scan)>, LogError> {
         if !self.io.exists(&self.bak) {
             return Ok(None);
         }
         let data = retry_io(|| self.io.read(&self.bak))?;
-        match scan(&data, self.shard) {
-            Ok(s) => Ok(Some(s)),
-            Err(_) => Ok(None),
-        }
+        Ok(scan(&data, self.shard).ok().map(|s| (data, s)))
     }
 
-    fn serialize_live(&self) -> Vec<u8> {
-        let mut bytes = header_bytes(self.shard);
-        for (&link, (gen, payload)) in &self.live {
-            frame_record(&mut bytes, *gen, link, payload);
-        }
-        bytes
-    }
-
-    fn rewrite_primary(&mut self) -> Result<(), LogError> {
-        let bytes = self.serialize_live();
-        retry_io(|| self.io.replace(&self.path, &bytes))?;
-        Ok(())
-    }
-
-    /// Appends a record for `link`, durably. The payload becomes the
-    /// link's live image; generation numbers increase monotonically.
+    /// Durably appends every record of `batch` with one
+    /// [`LogIo::append`] (one fsync). An empty batch writes nothing.
     ///
     /// # Errors
-    /// [`LogError::TooLarge`] for oversized payloads; IO errors after
-    /// the transient-retry budget. On an IO error the in-memory image is
-    /// *not* updated — the caller treats the shard as crashed and
-    /// recovers from disk.
-    pub fn append(&mut self, link: u64, payload: Vec<u8>) -> Result<(), LogError> {
-        if payload.len() > MAX_RECORD_PAYLOAD {
-            return Err(LogError::TooLarge { len: payload.len() });
+    /// IO errors after the transient-retry budget; the caller treats the
+    /// shard as crashed and recovers from disk.
+    pub fn commit(&mut self, mut batch: Batch) -> Result<(), LogError> {
+        if batch.is_empty() {
+            return Ok(());
         }
-        let gen = self.next_gen;
-        let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        frame_record(&mut rec, gen, link, &payload);
-        retry_io(|| self.io.append(&self.path, &rec))?;
-        self.next_gen += 1;
+        batch.seal(self.next_gen);
+        retry_io(|| self.io.append(&self.path, &batch.bytes))?;
+        self.next_gen = self.next_gen.saturating_add(batch.len() as u64);
+        self.records_since_compact += batch.len();
+        self.links
+            .extend(batch.frames.iter().map(|&(_, link)| link));
         mpdf_obs::counter!("fleet.log.appends_total").inc();
-        mpdf_obs::counter!("fleet.log.bytes_total").add(rec.len() as u64);
-        self.live.insert(link, (gen, payload));
-        self.appends_since_compact += 1;
-        if self.compact_every > 0 && self.appends_since_compact >= self.compact_every {
-            self.compact()?;
-        }
+        mpdf_obs::counter!("fleet.log.bytes_total").add(batch.bytes.len() as u64);
         Ok(())
     }
 
-    /// Rewrites the log to one latest record per link, rotating the
-    /// previous file to `.bak` (the last-good-generation fallback).
+    /// Whether `compact_every` records have been appended since the last
+    /// compaction.
+    pub fn compaction_due(&self) -> bool {
+        self.compact_every > 0 && self.records_since_compact >= self.compact_every
+    }
+
+    /// Rewrites the log as `bases` — a fresh base record for every link
+    /// the caller hosts — preceded by the chains, copied verbatim, of
+    /// links that have records here but no base in `bases`. The previous
+    /// file is rotated to `.bak` (the last-good-generation fallback).
     ///
     /// # Errors
     /// IO failures; a crash between the rotation and the rewrite leaves
     /// the `.bak` recoverable.
-    pub fn compact(&mut self) -> Result<(), LogError> {
-        let bytes = self.serialize_live();
+    pub fn compact(&mut self, mut bases: Batch) -> Result<(), LogError> {
+        let mut links: BTreeSet<u64> = bases.frames.iter().map(|&(_, link)| link).collect();
+        let mut retained = Vec::new();
+        if !self.links.is_subset(&links) {
+            let data = retry_io(|| self.io.read(&self.path))?;
+            let s = scan(&data, self.shard)?;
+            let mut frames: Vec<&Range<usize>> = Vec::new();
+            for (&link, chain) in &s.chains {
+                if links.insert(link) {
+                    frames.extend(chain);
+                }
+            }
+            // File order is generation order.
+            frames.sort_by_key(|r| r.start);
+            for r in frames {
+                retained.extend_from_slice(&data[r.clone()]);
+            }
+        }
+        bases.seal(self.next_gen);
+        let mut bytes = header_bytes(self.shard);
+        bytes.reserve_exact(retained.len() + bases.bytes.len());
+        bytes.extend_from_slice(&retained);
+        bytes.extend_from_slice(&bases.bytes);
         if self.io.exists(&self.path) {
             retry_io(|| self.io.rename(&self.path, &self.bak))?;
         }
         retry_io(|| self.io.replace(&self.path, &bytes))?;
-        self.appends_since_compact = 0;
+        self.next_gen = self.next_gen.saturating_add(bases.len() as u64);
+        self.links = links;
+        self.records_since_compact = 0;
         mpdf_obs::counter!("fleet.log.compactions_total").inc();
         Ok(())
     }
@@ -540,6 +802,7 @@ impl<IO: LogIo> ShardLog<IO> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -548,71 +811,141 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn crc64_is_stable_and_sensitive() {
-        let a = crc64(b"123456789");
-        assert_eq!(a, crc64(b"123456789"), "deterministic");
-        assert_ne!(a, crc64(b"123456780"), "sensitive to content");
-        assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
+    /// The byte-at-a-time definition the sliced CRC must match.
+    fn crc64_bytewise(data: &[u8]) -> u64 {
+        let table = &crc_tables()[0];
+        let mut crc = !0u64;
+        for &byte in data {
+            let idx = ((crc >> 56) ^ u64::from(byte)) as usize & 0xFF;
+            crc = (crc << 8) ^ table[idx];
+        }
+        !crc
+    }
+
+    fn commit_one(log: &mut ShardLog<StdIo>, kind: RecordKind, link: u64, payload: &[u8]) {
+        let mut batch = Batch::new();
+        batch.push(kind, link, payload).unwrap();
+        log.commit(batch).unwrap();
+    }
+
+    /// `(link, base, deltas)` per chain, owned.
+    fn chains(image: &LogImage) -> Vec<(u64, Vec<u8>, Vec<Vec<u8>>)> {
+        image
+            .chains()
+            .map(|(link, c)| {
+                let deltas = c.deltas.iter().map(|d| d.to_vec()).collect();
+                (link, c.base.to_vec(), deltas)
+            })
+            .collect()
     }
 
     #[test]
-    fn fresh_open_append_recover_roundtrip() {
+    fn crc64_matches_the_we_check_value() {
+        // CRC-64/WE check value over the standard "123456789" input.
+        assert_eq!(crc64(b"123456789"), 0x62EC_59E3_F1A4_F00A);
+        assert_ne!(crc64(b"123456789"), crc64(b"123456780"));
+        assert_ne!(crc64(b""), crc64(b"\0"), "length-extension guarded");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliced_crc64_is_bit_identical_to_bytewise(
+            data in proptest::collection::vec(0u8..=255, 0..200),
+            skip in 0usize..8,
+        ) {
+            // Every start alignment and every tail length.
+            let slice = &data[skip.min(data.len())..];
+            prop_assert_eq!(crc64(slice), crc64_bytewise(slice));
+        }
+    }
+
+    #[test]
+    fn group_commit_is_one_append_and_recovers_chains() {
         let dir = temp_dir("roundtrip");
         let path = dir.join("shard0.mpsl");
         let (mut log, rec) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        assert_eq!(rec, LogRecovery::default());
+        commit_one(&mut log, RecordKind::Base, 5, b"five-base");
+        commit_one(&mut log, RecordKind::Base, 2, b"two-base");
+        let mut batch = Batch::new();
+        batch.push(RecordKind::Delta, 5, b"five-d1").unwrap();
+        batch.push(RecordKind::Delta, 2, b"two-d1").unwrap();
+        batch.push(RecordKind::Delta, 5, b"five-d2").unwrap();
+        log.commit(batch).unwrap();
+        assert_eq!(log.live_links(), 2);
+
+        let (mut log2, rec2) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        assert_eq!(rec2.records, 5);
+        assert_eq!(rec2.torn_bytes, 0);
+        let (_, image) = log2.recover().unwrap();
         assert_eq!(
-            rec,
-            LogRecovery {
-                records: 0,
-                torn_bytes: 0,
-                used_bak: false
-            }
-        );
-        log.append(5, b"five-v1".to_vec()).unwrap();
-        log.append(2, b"two-v1".to_vec()).unwrap();
-        log.append(5, b"five-v2".to_vec()).unwrap();
-        // Reopen: latest image per link, link order.
-        let (log2, rec2) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
-        assert_eq!(
-            rec2,
-            LogRecovery {
-                records: 3,
-                torn_bytes: 0,
-                used_bak: false
-            }
-        );
-        let live: Vec<(u64, &[u8])> = log2.live().collect();
-        assert_eq!(
-            live,
-            vec![(2, b"two-v1".as_slice()), (5, b"five-v2".as_slice())]
+            chains(&image),
+            vec![
+                (2, b"two-base".to_vec(), vec![b"two-d1".to_vec()]),
+                (
+                    5,
+                    b"five-base".to_vec(),
+                    vec![b"five-d1".to_vec(), b"five-d2".to_vec()]
+                ),
+            ]
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn compaction_preserves_live_set_and_rotates_bak() {
+    fn a_new_base_restarts_the_chain() {
+        let dir = temp_dir("rebase");
+        let path = dir.join("shard0.mpsl");
+        let (mut log, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+        commit_one(&mut log, RecordKind::Base, 1, b"b1");
+        commit_one(&mut log, RecordKind::Delta, 1, b"d1");
+        commit_one(&mut log, RecordKind::Base, 1, b"b2");
+        commit_one(&mut log, RecordKind::Delta, 1, b"d2");
+        let (_, image) = log.recover().unwrap();
+        assert_eq!(
+            chains(&image),
+            vec![(1, b"b2".to_vec(), vec![b"d2".to_vec()])]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_rebases_hosted_links_and_keeps_evicted_chains() {
         let dir = temp_dir("compact");
         let path = dir.join("shard1.mpsl");
         let (mut log, _) = ShardLog::open(StdIo, &path, 1, 4).unwrap();
-        for round in 0u64..3 {
-            for link in 0u64..4 {
-                log.append(link, format!("l{link}r{round}").into_bytes())
-                    .unwrap();
-            }
-        }
-        // 12 appends with compact_every=4: several compactions ran.
-        assert!(sibling(&path, ".bak").exists(), "compaction rotated a .bak");
-        let (log2, rec) = ShardLog::open(StdIo, &path, 1, 0).unwrap();
-        assert_eq!(log2.live_links(), 4);
-        assert_eq!(rec.torn_bytes, 0);
-        for (link, payload) in log2.live() {
-            assert_eq!(
-                payload,
-                format!("l{link}r2").as_bytes(),
-                "latest image wins"
+        for link in 0u64..3 {
+            commit_one(
+                &mut log,
+                RecordKind::Base,
+                link,
+                format!("b{link}").as_bytes(),
             );
         }
+        commit_one(&mut log, RecordKind::Delta, 2, b"d2");
+        assert!(log.compaction_due(), "4 records with compact_every=4");
+        // The owner hosts links 0 and 1 only: link 2 was evicted.
+        let mut bases = Batch::new();
+        bases.push(RecordKind::Base, 0, b"fresh0").unwrap();
+        bases.push(RecordKind::Base, 1, b"fresh1").unwrap();
+        log.compact(bases).unwrap();
+        assert!(!log.compaction_due());
+        assert!(sibling(&path, ".bak").exists(), "compaction rotated a .bak");
+        commit_one(&mut log, RecordKind::Delta, 0, b"after");
+
+        let (mut log2, rec) = ShardLog::open(StdIo, &path, 1, 4).unwrap();
+        assert_eq!((rec.records, rec.torn_bytes), (5, 0));
+        let (_, image) = log2.recover().unwrap();
+        assert_eq!(
+            chains(&image),
+            vec![
+                (0, b"fresh0".to_vec(), vec![b"after".to_vec()]),
+                (1, b"fresh1".to_vec(), vec![]),
+                (2, b"b2".to_vec(), vec![b"d2".to_vec()]),
+            ]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -621,7 +954,7 @@ mod tests {
         let dir = temp_dir("typed");
         let path = dir.join("shard7.mpsl");
         let (mut log, _) = ShardLog::open(StdIo, &path, 7, 0).unwrap();
-        log.append(1, b"x".to_vec()).unwrap();
+        commit_one(&mut log, RecordKind::Base, 1, b"x");
         assert!(matches!(
             ShardLog::open(StdIo, &path, 8, 0),
             Err(LogError::ShardMismatch {
@@ -630,11 +963,12 @@ mod tests {
             })
         ));
         let mut data = std::fs::read(&path).unwrap();
-        data[4] = 0xFF;
+        // A version-1 file is refused, not misread.
+        data[4..6].copy_from_slice(&1u16.to_le_bytes());
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(
             ShardLog::open(StdIo, &path, 7, 0),
-            Err(LogError::UnsupportedVersion(_))
+            Err(LogError::UnsupportedVersion(1))
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -644,14 +978,29 @@ mod tests {
         let dir = temp_dir("edge");
         let path = dir.join("shard2.mpsl");
         let (mut log, _) = ShardLog::open(StdIo, &path, 2, 0).unwrap();
-        log.append(9, Vec::new()).unwrap();
-        let (log2, rec) = ShardLog::open(StdIo, &path, 2, 0).unwrap();
+        commit_one(&mut log, RecordKind::Base, 9, b"");
+        log.commit(Batch::new()).unwrap();
+        let (mut log2, rec) = ShardLog::open(StdIo, &path, 2, 0).unwrap();
         assert_eq!(rec.records, 1);
-        assert_eq!(log2.live().collect::<Vec<_>>(), vec![(9, &[][..])]);
+        let (_, image) = log2.recover().unwrap();
+        assert_eq!(chains(&image), vec![(9, Vec::new(), Vec::new())]);
         let err = LogError::TooLarge {
             len: MAX_RECORD_PAYLOAD + 1,
         };
         assert!(err.to_string().contains("cap"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_payload_writer_stages_nothing() {
+        let mut batch = Batch::new();
+        batch.push(RecordKind::Base, 1, b"kept").unwrap();
+        let err = batch.push_with(RecordKind::Delta, 2, 8, |out| {
+            out.extend_from_slice(b"partial");
+            Err(LogError::BadHeader("writer failed".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.bytes.len(), RECORD_OVERHEAD + 4);
     }
 }

@@ -8,27 +8,37 @@
 //! stepped serially and one stepped on a pool thread produce identical
 //! records.
 //!
+//! ## Durability
+//!
+//! Every delivered window stages one record for its link: a *delta*
+//! (what the window changed, see
+//! [`SessionRuntime::take_delta`]) or, after a committed recalibration,
+//! a *base* (the full snapshot). A tick's records are committed together
+//! — one append, one fsync per shard — before `step_tick` returns; when
+//! `compact_every` records have accumulated, the shard compacts its log
+//! to a fresh base per hosted link.
+//!
 //! ## Crash semantics
 //!
-//! A log-append failure marks the shard *crashed* for the rest of the
-//! tick: the in-memory stepping completes (the tick's records were
-//! already computed and handed downstream — exactly what a process
-//! crash during the final flush looks like from the outside), further
-//! appends are skipped, and the caller recovers the shard from its log
-//! before the next tick. Recovery rebuilds every link from the latest
-//! durable record; the events counter in each record tells the driver
-//! which deliveries were lost and must be replayed.
+//! A failed commit (or compaction) marks the shard *crashed*: the tick's
+//! in-memory results are complete and were handed downstream — exactly
+//! what a process crash during the final flush looks like from the
+//! outside — further commits are skipped, and the caller recovers the
+//! shard from its log before the next tick. Recovery rebuilds every link
+//! from its durable chain (base plus deltas); the events counter in each
+//! record tells the caller which deliveries were lost and must be
+//! replayed.
 
 use std::collections::BTreeMap;
 
 use mpdf_core::detector::Decision;
 use mpdf_core::scheme::DetectionScheme;
-use mpdf_session::checkpoint::encode_snapshot;
-use mpdf_session::SessionRuntime;
+use mpdf_session::checkpoint::{encode_snapshot_body, snapshot_body_len};
+use mpdf_session::{CheckpointError, SessionRuntime};
 use mpdf_wifi::csi::CsiPacket;
 
 use crate::link::{LinkFault, LinkHealth, LinkMeta};
-use crate::log::{LogIo, ShardLog};
+use crate::log::{Batch, LogIo, RecordKind, ShardLog};
 use crate::slab::Slab;
 use crate::{FleetError, FleetPolicy};
 
@@ -133,12 +143,43 @@ pub struct Shard<S: DetectionScheme + Clone, IO: LogIo> {
     crashed: bool,
 }
 
-fn log_payload<S: DetectionScheme + Clone>(slot: &LinkSlot<S>) -> Option<Vec<u8>> {
-    let snap = encode_snapshot(&slot.runtime.snapshot()).ok()?;
-    let mut payload = Vec::with_capacity(LinkMeta::ENCODED_LEN + snap.len());
-    slot.meta.encode(&mut payload);
-    payload.extend_from_slice(&snap);
-    Some(payload)
+/// Stages a base record for `slot`: its meta and full session snapshot.
+/// The snapshot becomes the session's new durable point.
+fn stage_base<S: DetectionScheme + Clone>(
+    batch: &mut Batch,
+    slot: &mut LinkSlot<S>,
+) -> Result<(), FleetError> {
+    let snap = slot.runtime.base_snapshot();
+    let hint = LinkMeta::ENCODED_LEN + snapshot_body_len(&snap);
+    batch.push_with(RecordKind::Base, slot.link, hint, |out| {
+        slot.meta.encode(out);
+        encode_snapshot_body(&snap, out).map_err(FleetError::from)
+    })
+}
+
+/// Stages the record of one delivered window for `slot`: a delta of what
+/// the window changed, or a base when only a full snapshot can express it.
+fn stage_record<S: DetectionScheme + Clone>(
+    batch: &mut Batch,
+    slot: &mut LinkSlot<S>,
+) -> Result<(), FleetError> {
+    let Some(delta) = slot.runtime.take_delta() else {
+        return stage_base(batch, slot);
+    };
+    let hint = LinkMeta::ENCODED_LEN + delta.encoded_len();
+    batch.push_with(RecordKind::Delta, slot.link, hint, |out| {
+        slot.meta.encode(out);
+        delta.encode(out).map_err(FleetError::from)
+    })
+}
+
+/// Splits a record payload into its link meta and the session bytes.
+fn split_meta(link: u64, payload: &[u8]) -> Result<(LinkMeta, &[u8]), FleetError> {
+    LinkMeta::decode(payload).ok_or_else(|| {
+        FleetError::Checkpoint(CheckpointError::Corrupt(format!(
+            "link {link} meta prefix truncated"
+        )))
+    })
 }
 
 impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
@@ -183,11 +224,11 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
     }
 
     /// Registers a link on this shard. Writes the *birth record* — the
-    /// link's initial snapshot — so a recovery always finds an image for
-    /// every registered link, even one that never stepped.
+    /// link's initial snapshot as a base — so a recovery always finds an
+    /// image for every registered link, even one that never stepped.
     ///
     /// # Errors
-    /// [`FleetError::DuplicateLink`]; log failures on the birth append.
+    /// [`FleetError::DuplicateLink`]; log failures on the birth commit.
     pub fn register(
         &mut self,
         link: u64,
@@ -204,14 +245,11 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         });
         self.by_link.insert(link, slot);
         if self.log.is_some() {
-            // The borrow of the slot ends before the log append.
-            let payload = self.slab.get(slot).and_then(log_payload);
-            let Some(payload) = payload else {
-                return Err(FleetError::MissingSnapshot(link));
-            };
-            if let Some(log) = self.log.as_mut() {
-                log.append(link, payload)?;
+            let mut batch = Batch::new();
+            if let Some(s) = self.slab.get_mut(slot) {
+                stage_base(&mut batch, s)?;
             }
+            self.commit(batch)?;
         }
         Ok(())
     }
@@ -240,9 +278,10 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
     }
 
     /// Processes one tick: vacancy-biased shedding against the ingest
-    /// budget, then per-link delivery in input order, appending a
-    /// durable record per delivery. Windows for links not homed on this
-    /// shard are ignored (the fleet validates routing before calling).
+    /// budget, then per-link delivery in input order, staging a record
+    /// per delivery, then one group commit of the tick's records. Windows
+    /// for links not homed on this shard are ignored (the fleet validates
+    /// routing before calling).
     pub fn step_tick(
         &mut self,
         tick: u64,
@@ -297,13 +336,14 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         let mut records = Vec::with_capacity(windows.len());
         let mut delivered = 0u32;
         let mut shed = 0u32;
+        let mut batch = Batch::new();
         for (idx, w) in windows.iter().enumerate() {
             if let Some(rec) = shed_records[idx].take() {
                 shed += 1;
                 records.push(rec);
                 continue;
             }
-            if let Some(rec) = self.deliver_inner(tick, w.link, &w.packets, policy) {
+            if let Some(rec) = self.deliver_inner(tick, w.link, &w.packets, policy, &mut batch) {
                 if matches!(
                     rec.outcome,
                     LinkOutcome::Decision { .. } | LinkOutcome::Fault { .. }
@@ -313,6 +353,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
                 records.push(rec);
             }
         }
+        self.commit_or_crash(batch);
         ShardTick {
             index: self.index,
             records,
@@ -335,8 +376,12 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         packets: &[CsiPacket],
         policy: &FleetPolicy,
     ) -> Result<LinkRecord, FleetError> {
-        self.deliver_inner(tick, link, packets, policy)
-            .ok_or(FleetError::UnknownLink(link))
+        let mut batch = Batch::new();
+        let record = self
+            .deliver_inner(tick, link, packets, policy, &mut batch)
+            .ok_or(FleetError::UnknownLink(link))?;
+        self.commit_or_crash(batch);
+        Ok(record)
     }
 
     fn deliver_inner(
@@ -345,6 +390,7 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
         link: u64,
         packets: &[CsiPacket],
         policy: &FleetPolicy,
+        batch: &mut Batch,
     ) -> Option<LinkRecord> {
         let &slot_idx = self.by_link.get(&link)?;
         let slot = self.slab.get_mut(slot_idx)?;
@@ -433,62 +479,75 @@ impl<S: DetectionScheme + Clone, IO: LogIo> Shard<S, IO> {
             events: slot.meta.events,
             outcome,
         };
-        self.append_slot(slot_idx, link);
+        if self.log.is_some() && !self.crashed && stage_record(batch, slot).is_err() {
+            self.crash();
+        }
         Some(record)
     }
 
-    /// Appends the slot's current image to the log; a failure marks the
-    /// shard crashed (in-memory state stays authoritative for the tick,
-    /// durable state goes stale until recovery).
-    fn append_slot(&mut self, slot_idx: usize, link: u64) {
-        if self.crashed || self.log.is_none() {
-            return;
-        }
-        let payload = self.slab.get(slot_idx).and_then(log_payload);
-        let Some(log) = self.log.as_mut() else {
-            return;
-        };
-        match payload {
-            Some(payload) => {
-                if log.append(link, payload).is_err() {
-                    self.crashed = true;
-                    mpdf_obs::counter!("fleet.shard_crashes_total").inc();
-                }
-            }
-            None => {
-                self.crashed = true;
-                mpdf_obs::counter!("fleet.shard_crashes_total").inc();
-            }
+    /// Marks the shard crashed: in-memory state stays authoritative for
+    /// the tick, durable state is stale until recovery.
+    fn crash(&mut self) {
+        self.crashed = true;
+        mpdf_obs::counter!("fleet.shard_crashes_total").inc();
+    }
+
+    /// Commits staged records; a failure crashes the shard.
+    fn commit_or_crash(&mut self, batch: Batch) {
+        if !self.crashed && self.commit(batch).is_err() {
+            self.crash();
         }
     }
 
+    /// Commits `batch` as one group, then compacts the log if it is due.
+    fn commit(&mut self, batch: Batch) -> Result<(), FleetError> {
+        let Some(log) = self.log.as_mut() else {
+            return Ok(());
+        };
+        log.commit(batch)?;
+        if !log.compaction_due() {
+            return Ok(());
+        }
+        // Compaction re-snapshots every hosted link; evicted links keep
+        // their chains (the log copies them).
+        let mut bases = Batch::new();
+        for &slot in self.by_link.values() {
+            if let Some(s) = self.slab.get_mut(slot) {
+                stage_base(&mut bases, s)?;
+            }
+        }
+        log.compact(bases)?;
+        Ok(())
+    }
+
     /// Rebuilds the shard from its log — the in-memory slab is discarded
-    /// and every link restored from its latest durable record. `restore`
-    /// turns a snapshot image back into a runtime (the fleet supplies
-    /// the per-link calibration constants).
+    /// and every link restored from its durable chain. `restore` turns a
+    /// chain's session bytes — the base snapshot body, then each delta
+    /// in order — back into a runtime (the fleet supplies the per-link
+    /// calibration constants); the link meta is the chain's last.
     ///
     /// # Errors
     /// [`FleetError::NoLog`] for in-memory shards; log and snapshot
     /// decode failures.
     pub fn recover<F>(&mut self, mut restore: F) -> Result<ShardRecovery, FleetError>
     where
-        F: FnMut(u64, &[u8]) -> Result<SessionRuntime<S>, FleetError>,
+        F: FnMut(u64, &[u8], &[&[u8]]) -> Result<SessionRuntime<S>, FleetError>,
     {
         let Some(log) = self.log.as_mut() else {
             return Err(FleetError::NoLog(self.index));
         };
-        let rec = log.recover()?;
+        let (rec, image) = log.recover()?;
         let mut entries: Vec<(u64, LinkMeta, SessionRuntime<S>)> = Vec::new();
         let mut events = BTreeMap::new();
-        for (link, payload) in log.live() {
-            let Some((meta, snap)) = LinkMeta::decode(payload) else {
-                return Err(FleetError::Checkpoint(
-                    mpdf_session::CheckpointError::Corrupt(format!(
-                        "link {link} meta prefix truncated"
-                    )),
-                ));
-            };
-            let runtime = restore(link, snap)?;
+        for (link, chain) in image.chains() {
+            let (mut meta, base) = split_meta(link, chain.base)?;
+            let mut deltas = Vec::with_capacity(chain.deltas.len());
+            for payload in &chain.deltas {
+                let (delta_meta, delta) = split_meta(link, payload)?;
+                meta = delta_meta;
+                deltas.push(delta);
+            }
+            let runtime = restore(link, base, &deltas)?;
             events.insert(link, meta.events);
             entries.push((link, meta, runtime));
         }

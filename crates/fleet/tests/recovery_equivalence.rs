@@ -10,8 +10,10 @@
 //! original ticks) and each replay must reproduce the original record
 //! exactly.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::SubcarrierWeighting;
@@ -66,7 +68,7 @@ fn calibrated(seed: u64) -> SessionRuntime<SubcarrierWeighting> {
 /// The window `link` receives at `tick` — pure in `(SEED, link, tick)`.
 /// Roughly one in 11 windows is poisoned with a mis-shaped packet.
 fn window_for(link: u64, tick: u64) -> Vec<CsiPacket> {
-    if mix(SEED, link, tick.wrapping_mul(13) ^ 0xFA) % 11 == 0 {
+    if mix(SEED, link, tick.wrapping_mul(13) ^ 0xFA).is_multiple_of(11) {
         let sc = DetectorConfig::default().band.num_subcarriers();
         return vec![CsiPacket::new(
             2,
@@ -76,7 +78,7 @@ fn window_for(link: u64, tick: u64) -> Vec<CsiPacket> {
             0.0,
         )];
     }
-    let occupied = mix(SEED, link % 2, tick ^ 0x0CC) % 3 == 0;
+    let occupied = mix(SEED, link % 2, tick ^ 0x0CC).is_multiple_of(3);
     let body = HumanBody::new(Vec2::new(4.0, 3.6));
     let mut rx = receiver(mix(SEED, link ^ 0x417, tick));
     rx.capture_static(occupied.then_some(&body), WINDOW)
@@ -262,4 +264,82 @@ fn thread_count_does_not_change_chaos_reports() {
     std::fs::remove_dir_all(&dir4).ok();
 
     assert_eq!(r1, r4, "chaos runs must be identical at any thread count");
+}
+
+/// A filesystem that counts appends across every shard sharing it.
+#[derive(Debug)]
+struct CountingIo(Arc<AtomicU64>);
+
+impl LogIo for CountingIo {
+    fn read(&mut self, path: &Path) -> std::io::Result<Vec<u8>> {
+        StdIo.read(path)
+    }
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        StdIo.append(path, bytes)
+    }
+    fn replace(&mut self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        StdIo.replace(path, bytes)
+    }
+    fn rename(&mut self, from: &Path, to: &Path) -> std::io::Result<()> {
+        StdIo.rename(from, to)
+    }
+    fn exists(&mut self, path: &Path) -> bool {
+        StdIo.exists(path)
+    }
+}
+
+#[test]
+fn each_shard_commits_its_tick_with_one_append() {
+    let dir = temp_dir("group");
+    let appends = Arc::new(AtomicU64::new(0));
+    let shards = (0..SHARDS as u32)
+        .map(|i| {
+            let io = CountingIo(Arc::clone(&appends));
+            let (log, _) = ShardLog::open(io, dir.join(format!("shard{i}.mpsl")), i, 0).unwrap();
+            Shard::new(i, Some(log))
+        })
+        .collect();
+    let mut fleet = Fleet::new(shards, policy(), 1).unwrap();
+    register_all(&mut fleet);
+    assert_eq!(
+        appends.load(Ordering::Relaxed),
+        LINKS,
+        "one birth commit per link"
+    );
+    for tick in 0..TICKS {
+        let windows: Vec<LinkWindow> = (0..LINKS)
+            .map(|link| LinkWindow {
+                link,
+                packets: window_for(link, tick),
+            })
+            .collect();
+        let before = appends.load(Ordering::Relaxed);
+        let report = fleet.step_tick(&windows).unwrap();
+        let committing: BTreeSet<u32> = report
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.outcome,
+                    LinkOutcome::Decision { .. } | LinkOutcome::Fault { .. }
+                )
+            })
+            .map(|r| fleet.shard_of(r.link))
+            .collect();
+        assert_eq!(
+            appends.load(Ordering::Relaxed) - before,
+            committing.len() as u64,
+            "tick {tick}: one append per shard with deliveries"
+        );
+    }
+    // The delta chains restore every link at the event count it reached.
+    for shard in 0..SHARDS as u32 {
+        let expected: BTreeMap<u64, u64> = (0..LINKS)
+            .filter(|&l| fleet.shard_of(l) == shard)
+            .map(|l| (l, fleet.link_meta(l).unwrap().events))
+            .collect();
+        assert_eq!(fleet.recover_shard(shard).unwrap().events, expected);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,13 +16,20 @@
 //! checksum u64  FNV-1a(64) over magic..payload 8
 //! ```
 //!
-//! The payload packs, in order: cursor, threshold, the calibration
-//! profile (shape, amplitudes, powers, per-subcarrier covariances,
-//! static spectrum — path weights are *re-derived* at restore, which is
-//! bit-identical arithmetic), the HMM parameters and carried posterior,
-//! the sentinel snapshot, supervision state (mode, retries, backoff,
-//! watchdog strikes), and the reservoir + shadow packet windows in the
-//! `mpdf_wifi::trace` per-packet encoding.
+//! The payload — the snapshot *body*, [`encode_snapshot_body`] — packs,
+//! in order: cursor, threshold, the calibration profile (shape,
+//! amplitudes, powers, per-subcarrier covariances, static spectrum —
+//! path weights are *re-derived* at restore, which is bit-identical
+//! arithmetic), the HMM parameters and carried posterior, the sentinel
+//! snapshot, supervision state (mode, retries, backoff, watchdog
+//! strikes), and the reservoir + shadow packet windows in the
+//! `mpdf_wifi::trace` per-packet encoding. The body is written in one
+//! pass into a buffer sized by [`snapshot_body_len`]; shard logs frame it
+//! directly under their own CRC, without this envelope.
+//!
+//! A [`SessionDelta`] is the incremental form: what one or more steps
+//! changed, applied to the previous snapshot with
+//! [`SessionDelta::apply_to`].
 //!
 //! [`CheckpointStore`] adds crash-safe file handling: atomic
 //! write-rename through a `.tmp` sibling, the previous good checkpoint
@@ -33,7 +40,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::{Gaussian, HmmSmoother};
@@ -207,8 +214,26 @@ fn len_u16(what: &'static str, len: usize) -> Result<u16, CheckpointError> {
     })
 }
 
+/// Envelope bytes before the body: magic, version, body length.
+const ENVELOPE_HEAD: usize = 4 + 2 + 8;
+/// Encoded sentinel state: three f64s, the state tag, two u32 counters.
+const SENTINEL_LEN: usize = 3 * 8 + 1 + 4 + 4;
+/// Encoded supervision state: mode tag, retries, backoff, watchdog.
+const SUPERVISION_LEN: usize = 1 + 4 + 8 + 4;
+
+fn packet_len(antennas: usize, subcarriers: usize) -> usize {
+    16 + antennas * subcarriers * 16
+}
+
+fn windows_len(windows: &[Vec<CsiPacket>], antennas: usize, subcarriers: usize) -> usize {
+    4 + windows
+        .iter()
+        .map(|w| 4 + w.len() * packet_len(antennas, subcarriers))
+        .sum::<usize>()
+}
+
 fn put_packets(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     windows: &[Vec<CsiPacket>],
     antennas: usize,
     subcarriers: usize,
@@ -235,7 +260,47 @@ fn put_packets(
     Ok(())
 }
 
-/// Serializes a session snapshot into a checkpoint byte image.
+fn put_sentinel(buf: &mut Vec<u8>, s: &SentinelSnapshot) {
+    buf.put_f64_le(s.baseline_mean);
+    buf.put_f64_le(s.baseline_std);
+    buf.put_f64_le(s.ewma);
+    buf.put_u8(s.state.as_u8());
+    buf.put_u32_le(s.above_enter);
+    buf.put_u32_le(s.below_exit);
+}
+
+fn put_supervision(
+    buf: &mut Vec<u8>,
+    mode: SessionMode,
+    retries: u32,
+    backoff: u64,
+    watchdog: u32,
+) {
+    buf.put_u8(mode.as_u8());
+    buf.put_u32_le(retries);
+    buf.put_u64_le(backoff);
+    buf.put_u32_le(watchdog);
+}
+
+/// Exact byte length of [`encode_snapshot_body`]'s output, so callers
+/// can size a buffer once.
+pub fn snapshot_body_len(snapshot: &SessionSnapshot) -> usize {
+    let a = snapshot.profile.antennas();
+    let s = snapshot.profile.subcarriers();
+    let grid = snapshot.profile.static_spectrum().angles_deg().len();
+    8 + 8 // cursor, threshold
+        + 2 + 2 + a * s * 8 + s * 8 + s * a * a * 16 + 4 + grid * 16 // profile
+        + 9 * 8 // HMM + carried posterior
+        + SENTINEL_LEN
+        + SUPERVISION_LEN
+        + windows_len(&snapshot.reservoir, a, s)
+        + windows_len(&snapshot.shadow, a, s)
+}
+
+/// Appends the snapshot body — the checkpoint payload without its
+/// envelope — to `out` in one pass. Shard logs frame this body directly
+/// under their own CRC; [`encode_snapshot`] wraps it for checkpoint
+/// files.
 ///
 /// All packet windows in the snapshot must share the profile's
 /// `(antennas, subcarriers)` shape — the runtime guarantees this (every
@@ -244,38 +309,40 @@ fn put_packets(
 /// # Errors
 /// [`CheckpointError::TooLarge`] when a collection exceeds its length
 /// field's range (the format caps shapes at `u16` and window/packet
-/// counts at `u32`).
-pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointError> {
+/// counts at `u32`); `out` may then hold a partial body.
+pub fn encode_snapshot_body(
+    snapshot: &SessionSnapshot,
+    out: &mut Vec<u8>,
+) -> Result<(), CheckpointError> {
     let antennas = snapshot.profile.antennas();
     let subcarriers = snapshot.profile.subcarriers();
-    let mut payload = BytesMut::with_capacity(4096);
-    payload.put_u64_le(snapshot.cursor);
-    payload.put_f64_le(snapshot.threshold);
+    out.put_u64_le(snapshot.cursor);
+    out.put_f64_le(snapshot.threshold);
 
     // Profile.
-    payload.put_u16_le(len_u16("profile antennas", antennas)?);
-    payload.put_u16_le(len_u16("profile subcarriers", subcarriers)?);
+    out.put_u16_le(len_u16("profile antennas", antennas)?);
+    out.put_u16_le(len_u16("profile subcarriers", subcarriers)?);
     for row in snapshot.profile.static_amplitude() {
         for &v in row {
-            payload.put_f64_le(v);
+            out.put_f64_le(v);
         }
     }
     for &v in snapshot.profile.static_power() {
-        payload.put_f64_le(v);
+        out.put_f64_le(v);
     }
     for r in snapshot.profile.static_covariances() {
         for z in r.as_slice() {
-            payload.put_f64_le(z.re);
-            payload.put_f64_le(z.im);
+            out.put_f64_le(z.re);
+            out.put_f64_le(z.im);
         }
     }
     let spectrum = snapshot.profile.static_spectrum();
-    payload.put_u32_le(len_u32("spectrum angle grid", spectrum.angles_deg().len())?);
+    out.put_u32_le(len_u32("spectrum angle grid", spectrum.angles_deg().len())?);
     for &a in spectrum.angles_deg() {
-        payload.put_f64_le(a);
+        out.put_f64_le(a);
     }
     for &v in spectrum.values() {
-        payload.put_f64_le(v);
+        out.put_f64_le(v);
     }
 
     // HMM + carried posterior.
@@ -290,35 +357,43 @@ pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Bytes, CheckpointEr
         snapshot.hmm.llr_cap,
         snapshot.posterior,
     ] {
-        payload.put_f64_le(v);
+        out.put_f64_le(v);
     }
 
-    // Sentinel.
-    payload.put_f64_le(snapshot.sentinel.baseline_mean);
-    payload.put_f64_le(snapshot.sentinel.baseline_std);
-    payload.put_f64_le(snapshot.sentinel.ewma);
-    payload.put_u8(snapshot.sentinel.state.as_u8());
-    payload.put_u32_le(snapshot.sentinel.above_enter);
-    payload.put_u32_le(snapshot.sentinel.below_exit);
-
-    // Supervision.
-    payload.put_u8(snapshot.mode.as_u8());
-    payload.put_u32_le(snapshot.retries);
-    payload.put_u64_le(snapshot.backoff_remaining);
-    payload.put_u32_le(snapshot.watchdog_strikes);
+    put_sentinel(out, &snapshot.sentinel);
+    put_supervision(
+        out,
+        snapshot.mode,
+        snapshot.retries,
+        snapshot.backoff_remaining,
+        snapshot.watchdog_strikes,
+    );
 
     // Packet windows.
-    put_packets(&mut payload, &snapshot.reservoir, antennas, subcarriers)?;
-    put_packets(&mut payload, &snapshot.shadow, antennas, subcarriers)?;
+    put_packets(out, &snapshot.reservoir, antennas, subcarriers)?;
+    put_packets(out, &snapshot.shadow, antennas, subcarriers)
+}
 
-    let mut buf = BytesMut::with_capacity(22 + payload.len());
+/// Serializes a session snapshot into a checkpoint file image: the
+/// [`encode_snapshot_body`] body inside the `MPSC` envelope.
+///
+/// # Errors
+/// See [`encode_snapshot_body`].
+pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Vec<u8>, CheckpointError> {
+    let body_len = snapshot_body_len(snapshot);
+    let mut buf = Vec::with_capacity(ENVELOPE_HEAD + body_len + 8);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(&payload);
+    buf.put_u64_le(body_len as u64);
+    encode_snapshot_body(snapshot, &mut buf)?;
+    debug_assert_eq!(
+        buf.len(),
+        ENVELOPE_HEAD + body_len,
+        "snapshot_body_len drifted"
+    );
     let checksum = fnv1a(&buf);
     buf.put_u64_le(checksum);
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// Bounds-checked little-endian reader over the payload.
@@ -395,7 +470,42 @@ fn read_windows(
     Ok(windows)
 }
 
-/// Deserializes a checkpoint byte image.
+fn read_sentinel(r: &mut Reader<'_>) -> Result<SentinelSnapshot, CheckpointError> {
+    let baseline_mean = r.f64()?;
+    let baseline_std = r.f64()?;
+    let ewma = r.f64()?;
+    let state_tag = r.u8()?;
+    let state = DriftState::from_u8(state_tag)
+        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown drift state tag {state_tag}")))?;
+    Ok(SentinelSnapshot {
+        baseline_mean,
+        baseline_std,
+        ewma,
+        state,
+        above_enter: r.u32()?,
+        below_exit: r.u32()?,
+    })
+}
+
+/// Supervision state: `(mode, retries, backoff_remaining, watchdog_strikes)`.
+fn read_supervision(r: &mut Reader<'_>) -> Result<(SessionMode, u32, u64, u32), CheckpointError> {
+    let mode_tag = r.u8()?;
+    let mode = SessionMode::from_u8(mode_tag)
+        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown session mode tag {mode_tag}")))?;
+    Ok((mode, r.u32()?, r.u64()?, r.u32()?))
+}
+
+fn expect_end(r: &Reader<'_>) -> Result<(), CheckpointError> {
+    if r.buf.remaining() != 0 {
+        return Err(CheckpointError::Corrupt(format!(
+            "{} trailing bytes after payload",
+            r.buf.remaining()
+        )));
+    }
+    Ok(())
+}
+
+/// Deserializes a checkpoint file image (see [`encode_snapshot`]).
 ///
 /// `config` supplies the deployment constants (angular gate) needed to
 /// re-derive the profile's path weights — restore must use the same
@@ -408,7 +518,7 @@ pub fn decode_snapshot(
     data: &[u8],
     config: &DetectorConfig,
 ) -> Result<SessionSnapshot, CheckpointError> {
-    if data.len() < 22 {
+    if data.len() < ENVELOPE_HEAD + 8 {
         return Err(CheckpointError::Truncated);
     }
     let (body, trailer) = data.split_at(data.len() - 8);
@@ -432,7 +542,21 @@ pub fn decode_snapshot(
     if paylen != r.buf.remaining() {
         return Err(CheckpointError::Truncated);
     }
+    decode_snapshot_body(r.buf, config)
+}
 
+/// Deserializes a snapshot body (see [`encode_snapshot_body`]). The body
+/// carries no checksum of its own: callers frame it under one (the shard
+/// log's CRC-64, the checkpoint file's FNV-1a).
+///
+/// # Errors
+/// [`CheckpointError::Truncated`], [`CheckpointError::Corrupt`] and
+/// [`CheckpointError::Invalid`] on a malformed body.
+pub fn decode_snapshot_body(
+    data: &[u8],
+    config: &DetectorConfig,
+) -> Result<SessionSnapshot, CheckpointError> {
+    let mut r = Reader { buf: data };
     let cursor = r.u64()?;
     let threshold = r.f64()?;
 
@@ -516,39 +640,11 @@ pub fn decode_snapshot(
         llr_cap,
     };
     let posterior = r.f64()?;
-
-    let baseline_mean = r.f64()?;
-    let baseline_std = r.f64()?;
-    let ewma = r.f64()?;
-    let state_tag = r.u8()?;
-    let state = DriftState::from_u8(state_tag)
-        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown drift state tag {state_tag}")))?;
-    let above_enter = r.u32()?;
-    let below_exit = r.u32()?;
-    let sentinel = SentinelSnapshot {
-        baseline_mean,
-        baseline_std,
-        ewma,
-        state,
-        above_enter,
-        below_exit,
-    };
-
-    let mode_tag = r.u8()?;
-    let mode = SessionMode::from_u8(mode_tag)
-        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown session mode tag {mode_tag}")))?;
-    let retries = r.u32()?;
-    let backoff_remaining = r.u64()?;
-    let watchdog_strikes = r.u32()?;
-
+    let sentinel = read_sentinel(&mut r)?;
+    let (mode, retries, backoff_remaining, watchdog_strikes) = read_supervision(&mut r)?;
     let reservoir = read_windows(&mut r, antennas, subcarriers)?;
     let shadow = read_windows(&mut r, antennas, subcarriers)?;
-    if r.buf.remaining() != 0 {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} trailing bytes after payload",
-            r.buf.remaining()
-        )));
-    }
+    expect_end(&r)?;
 
     Ok(SessionSnapshot {
         cursor,
@@ -564,6 +660,189 @@ pub fn decode_snapshot(
         reservoir,
         shadow,
     })
+}
+
+/// What session steps changed against the previous durable record of a
+/// session — the payload of a shard-log *delta* record.
+///
+/// A delta carries every scalar a step can move (cursor, posterior,
+/// sentinel, supervision state) plus the packet windows it pushed into
+/// (and evicted from) the rollback reservoir and the shadow buffer. The
+/// calibration profile, threshold and HMM change only when a
+/// recalibration commits; such a step is not expressible as a delta and
+/// is written as a full snapshot instead (see
+/// [`SessionRuntime::take_delta`](crate::runtime::SessionRuntime::take_delta)).
+///
+/// Layout (little-endian): cursor `u64`, posterior `f64`, sentinel,
+/// supervision, window shape `u16 × u16`, `reservoir_evict` `u32`,
+/// reservoir windows, `shadow_clear` `u8`, shadow windows — windows in
+/// the snapshot's per-packet encoding.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionDelta {
+    /// Next window index (seq cursor).
+    pub cursor: u64,
+    /// Carried HMM posterior.
+    pub posterior: f64,
+    /// Drift-sentinel state.
+    pub sentinel: SentinelSnapshot,
+    /// Supervision mode.
+    pub mode: SessionMode,
+    /// Consecutive rollback-guard rejections.
+    pub retries: u32,
+    /// Windows remaining in the current backoff.
+    pub backoff_remaining: u64,
+    /// Consecutive abstained windows.
+    pub watchdog_strikes: u32,
+    /// Windows dropped from the front of the reservoir.
+    pub reservoir_evict: usize,
+    /// Windows appended to the reservoir, after the evictions.
+    pub reservoir_push: Vec<Vec<CsiPacket>>,
+    /// Whether the shadow buffer was emptied, before `shadow_push`.
+    pub shadow_clear: bool,
+    /// Windows appended to the shadow buffer.
+    pub shadow_push: Vec<Vec<CsiPacket>>,
+}
+
+/// Encoded delta bytes outside its packet windows.
+const DELTA_FIXED_LEN: usize = 8 + 8 + SENTINEL_LEN + SUPERVISION_LEN + 2 + 2 + 4 + 1;
+
+impl SessionDelta {
+    /// `(antennas, subcarriers)` of the pushed packets (`(0, 0)` when
+    /// nothing is pushed).
+    fn shape(&self) -> (usize, usize) {
+        self.reservoir_push
+            .iter()
+            .chain(&self.shadow_push)
+            .flatten()
+            .next()
+            .map_or((0, 0), |p| (p.antennas(), p.subcarriers()))
+    }
+
+    /// Exact byte length of [`Self::encode`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        let (a, s) = self.shape();
+        DELTA_FIXED_LEN
+            + windows_len(&self.reservoir_push, a, s)
+            + windows_len(&self.shadow_push, a, s)
+    }
+
+    /// Appends the encoding to `out`.
+    ///
+    /// # Errors
+    /// [`CheckpointError::TooLarge`] when a count exceeds its length
+    /// field; `out` may then hold a partial encoding.
+    pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), CheckpointError> {
+        let (antennas, subcarriers) = self.shape();
+        out.put_u64_le(self.cursor);
+        out.put_f64_le(self.posterior);
+        put_sentinel(out, &self.sentinel);
+        put_supervision(
+            out,
+            self.mode,
+            self.retries,
+            self.backoff_remaining,
+            self.watchdog_strikes,
+        );
+        out.put_u16_le(len_u16("delta antennas", antennas)?);
+        out.put_u16_le(len_u16("delta subcarriers", subcarriers)?);
+        out.put_u32_le(len_u32("reservoir evictions", self.reservoir_evict)?);
+        put_packets(out, &self.reservoir_push, antennas, subcarriers)?;
+        out.put_u8(u8::from(self.shadow_clear));
+        put_packets(out, &self.shadow_push, antennas, subcarriers)
+    }
+
+    /// Decodes an encoding produced by [`Self::encode`].
+    ///
+    /// # Errors
+    /// [`CheckpointError::Truncated`] or [`CheckpointError::Corrupt`] on a
+    /// malformed delta.
+    pub fn decode(data: &[u8]) -> Result<SessionDelta, CheckpointError> {
+        let mut r = Reader { buf: data };
+        let cursor = r.u64()?;
+        let posterior = r.f64()?;
+        let sentinel = read_sentinel(&mut r)?;
+        let (mode, retries, backoff_remaining, watchdog_strikes) = read_supervision(&mut r)?;
+        let antennas = r.u16()? as usize;
+        let subcarriers = r.u16()? as usize;
+        let reservoir_evict = r.u32()? as usize;
+        let reservoir_push = read_windows(&mut r, antennas, subcarriers)?;
+        let shadow_clear = match r.u8()? {
+            0 => false,
+            1 => true,
+            tag => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "unknown shadow-clear flag {tag}"
+                )))
+            }
+        };
+        let shadow_push = read_windows(&mut r, antennas, subcarriers)?;
+        expect_end(&r)?;
+        Ok(SessionDelta {
+            cursor,
+            posterior,
+            sentinel,
+            mode,
+            retries,
+            backoff_remaining,
+            watchdog_strikes,
+            reservoir_evict,
+            reservoir_push,
+            shadow_clear,
+            shadow_push,
+        })
+    }
+
+    /// Applies the delta to the snapshot of the record before it, leaving
+    /// the snapshot equal to the session's state after the delta's steps.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] when the delta cannot follow the
+    /// snapshot: it rewinds the cursor, evicts more windows than the
+    /// reservoir holds, or pushes packets of another shape than the
+    /// profile's. The snapshot is untouched on error.
+    pub fn apply_to(self, snapshot: &mut SessionSnapshot) -> Result<(), CheckpointError> {
+        if self.cursor < snapshot.cursor {
+            return Err(CheckpointError::Corrupt(format!(
+                "delta cursor {} precedes snapshot cursor {}",
+                self.cursor, snapshot.cursor
+            )));
+        }
+        if self.reservoir_evict > snapshot.reservoir.len() {
+            return Err(CheckpointError::Corrupt(format!(
+                "delta evicts {} of {} reservoir windows",
+                self.reservoir_evict,
+                snapshot.reservoir.len()
+            )));
+        }
+        let want = (snapshot.profile.antennas(), snapshot.profile.subcarriers());
+        let pushed = self
+            .reservoir_push
+            .iter()
+            .chain(&self.shadow_push)
+            .flatten();
+        if pushed
+            .map(|p| (p.antennas(), p.subcarriers()))
+            .any(|shape| shape != want)
+        {
+            return Err(CheckpointError::Corrupt(
+                "delta packet shape diverges from the profile".to_string(),
+            ));
+        }
+        snapshot.cursor = self.cursor;
+        snapshot.posterior = self.posterior;
+        snapshot.sentinel = self.sentinel;
+        snapshot.mode = self.mode;
+        snapshot.retries = self.retries;
+        snapshot.backoff_remaining = self.backoff_remaining;
+        snapshot.watchdog_strikes = self.watchdog_strikes;
+        snapshot.reservoir.drain(..self.reservoir_evict);
+        snapshot.reservoir.extend(self.reservoir_push);
+        if self.shadow_clear {
+            snapshot.shadow.clear();
+        }
+        snapshot.shadow.extend(self.shadow_push);
+        Ok(())
+    }
 }
 
 /// Crash-safe checkpoint file handling: atomic write-rename plus a
@@ -761,6 +1040,7 @@ mod tests {
     fn encode_decode_roundtrip_is_exact() {
         let snap = snapshot();
         let bytes = encode_snapshot(&snap).unwrap();
+        assert_eq!(bytes.len(), ENVELOPE_HEAD + snapshot_body_len(&snap) + 8);
         let decoded = decode_snapshot(&bytes, &DetectorConfig::default()).unwrap();
         assert_eq!(decoded, snap);
     }
@@ -768,7 +1048,7 @@ mod tests {
     #[test]
     fn bad_magic_and_version_are_typed() {
         let snap = snapshot();
-        let mut bytes = encode_snapshot(&snap).unwrap().to_vec();
+        let mut bytes = encode_snapshot(&snap).unwrap();
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         // Checksum catches the flip first (it covers the magic); fixing
@@ -793,7 +1073,7 @@ mod tests {
     #[test]
     fn any_single_byte_corruption_is_a_checksum_mismatch() {
         let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap().to_vec();
+        let bytes = encode_snapshot(&snap).unwrap();
         // Probe a spread of positions including the trailer.
         let step = (bytes.len() / 37).max(1);
         for i in (0..bytes.len()).step_by(step) {

@@ -30,7 +30,7 @@ pub mod checkpoint;
 pub mod runtime;
 pub mod sentinel;
 
-pub use checkpoint::{CheckpointError, CheckpointStore};
+pub use checkpoint::{CheckpointError, CheckpointStore, SessionDelta};
 pub use runtime::{
     RecalOutcome, RecalPolicy, SessionConfig, SessionDecision, SessionMode, SessionRuntime,
 };

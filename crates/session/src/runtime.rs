@@ -37,6 +37,7 @@ use mpdf_core::scheme::DetectionScheme;
 use mpdf_core::threshold::{static_score_distribution, threshold_for_fp};
 use mpdf_wifi::csi::CsiPacket;
 
+use crate::checkpoint::SessionDelta;
 use crate::sentinel::{DriftSentinel, DriftState, SentinelConfig, SentinelSnapshot};
 
 /// Staged-recalibration policy.
@@ -264,6 +265,25 @@ pub struct SessionSnapshot {
     pub shadow: Vec<Vec<CsiPacket>>,
 }
 
+/// What the session changed since its last durable record: the
+/// bookkeeping behind [`SessionRuntime::take_delta`]. Counts only — the
+/// pushed windows are the newest entries of the buffers themselves.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    /// Windows evicted from the front of the recorded reservoir.
+    reservoir_evicted: usize,
+    /// Windows at the back of the reservoir pushed since the record.
+    reservoir_pushed: usize,
+    /// The shadow buffer was emptied since the record.
+    shadow_cleared: bool,
+    /// Windows at the back of the shadow buffer pushed since the record
+    /// (or since the clear).
+    shadow_pushed: usize,
+    /// A recalibration committed: profile, threshold and HMM changed, so
+    /// only a full snapshot can follow the record.
+    rebased: bool,
+}
+
 /// A supervised, drift-aware, checkpointable detection session.
 #[derive(Debug, Clone)]
 pub struct SessionRuntime<S> {
@@ -280,6 +300,7 @@ pub struct SessionRuntime<S> {
     cursor: u64,
     reservoir: Vec<Vec<CsiPacket>>,
     shadow: Vec<Vec<CsiPacket>>,
+    journal: Journal,
 }
 
 impl<S: DetectionScheme + Clone> SessionRuntime<S> {
@@ -344,6 +365,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             cursor: 0,
             reservoir,
             shadow: Vec::new(),
+            journal: Journal::default(),
         })
     }
 
@@ -452,9 +474,17 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             if vacant && !d.degraded {
                 mpdf_obs::counter!("session.vacant_windows_total").inc();
                 if self.reservoir.len() >= self.session.reservoir_windows {
+                    // The front window is either from the last record or
+                    // one pushed since (then it simply never lands).
+                    if self.reservoir.len() > self.journal.reservoir_pushed {
+                        self.journal.reservoir_evicted += 1;
+                    } else {
+                        self.journal.reservoir_pushed -= 1;
+                    }
                     self.reservoir.remove(0);
                 }
                 self.reservoir.push(window.to_vec());
+                self.journal.reservoir_pushed += 1;
             }
         }
 
@@ -464,6 +494,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             } else if self.sentinel.state() != DriftState::Stable {
                 if vacant && decision.map(|d| !d.degraded).unwrap_or(false) {
                     self.shadow.push(window.to_vec());
+                    self.journal.shadow_pushed += 1;
                     mpdf_obs::counter!("session.shadow_windows_total").inc();
                 }
                 if self.shadow.len() >= self.session.recalibration.shadow_windows {
@@ -472,7 +503,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             } else if !self.shadow.is_empty() {
                 // Drift subsided on its own; the half-filled shadow
                 // buffer describes an environment that no longer exists.
-                self.shadow.clear();
+                self.take_shadow();
             }
         }
 
@@ -498,8 +529,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
     fn attempt_recalibration(&mut self) -> Result<RecalOutcome, DetectError> {
         let _stage = mpdf_obs::stage!("session.recalibrate");
         mpdf_obs::counter!("session.recal_attempts_total").inc();
-        let shadow_windows = std::mem::take(&mut self.shadow);
-        let shadow: Vec<CsiPacket> = shadow_windows.into_iter().flatten().collect();
+        let shadow: Vec<CsiPacket> = self.take_shadow().into_iter().flatten().collect();
         match self.stage_candidate(&shadow) {
             Ok((profile, threshold, null_scores)) => {
                 // Atomic swap: build the replacement detector fully, then
@@ -515,6 +545,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
                 );
                 self.retries = 0;
                 self.backoff_remaining = 0;
+                self.journal.rebased = true;
                 Ok(RecalOutcome::Accepted {
                     new_threshold: threshold,
                 })
@@ -607,6 +638,53 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
         Ok((profile, threshold, null_scores))
     }
 
+    /// Empties the shadow buffer, returning its windows.
+    fn take_shadow(&mut self) -> Vec<Vec<CsiPacket>> {
+        self.journal.shadow_cleared = true;
+        self.journal.shadow_pushed = 0;
+        std::mem::take(&mut self.shadow)
+    }
+
+    /// Takes what changed since the last durable record — the last
+    /// [`Self::take_delta`] or [`Self::base_snapshot`], or the
+    /// calibration/restore that built the runtime — and restarts the
+    /// journal from the current state. Applying the delta to that
+    /// record's snapshot ([`SessionDelta::apply_to`]) yields
+    /// [`Self::snapshot`].
+    ///
+    /// `None` when a recalibration committed in between: the profile,
+    /// threshold and HMM changed, so the next record must be a full
+    /// [`Self::snapshot`].
+    pub fn take_delta(&mut self) -> Option<SessionDelta> {
+        let journal = std::mem::take(&mut self.journal);
+        if journal.rebased {
+            return None;
+        }
+        let reservoir_from = self.reservoir.len() - journal.reservoir_pushed;
+        let shadow_from = self.shadow.len() - journal.shadow_pushed;
+        Some(SessionDelta {
+            cursor: self.cursor,
+            posterior: self.posterior,
+            sentinel: self.sentinel.snapshot(),
+            mode: self.mode,
+            retries: self.retries,
+            backoff_remaining: self.backoff_remaining,
+            watchdog_strikes: self.watchdog_strikes,
+            reservoir_evict: journal.reservoir_evicted,
+            reservoir_push: self.reservoir[reservoir_from..].to_vec(),
+            shadow_clear: journal.shadow_cleared,
+            shadow_push: self.shadow[shadow_from..].to_vec(),
+        })
+    }
+
+    /// Captures the complete dynamic state as a new durable record: like
+    /// [`Self::snapshot`], and the next [`Self::take_delta`] is relative
+    /// to it.
+    pub fn base_snapshot(&mut self) -> SessionSnapshot {
+        self.journal = Journal::default();
+        self.snapshot()
+    }
+
     /// Captures the complete dynamic state for checkpointing.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
@@ -665,6 +743,7 @@ impl<S: DetectionScheme + Clone> SessionRuntime<S> {
             cursor: snapshot.cursor,
             reservoir: snapshot.reservoir,
             shadow: snapshot.shadow,
+            journal: Journal::default(),
         })
     }
 }
