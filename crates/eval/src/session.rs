@@ -10,16 +10,25 @@
 //! uninterrupted run from window `n` on. Scores and posteriors are
 //! printed as raw `f64` bit patterns: equality of the transcripts is
 //! equality to 0 ULP, not to printing precision.
+//!
+//! The checkpoint is a one-link shard log ([`mpdf_fleet::log`]): every
+//! save compacts the log down to a single base record holding the
+//! session snapshot, so the previous save survives as the `.bak`
+//! rotation and a damaged primary resumes from it, one window earlier.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mpdf_core::error::DetectError;
+use mpdf_core::profile::DetectorConfig;
 use mpdf_core::scheme::SubcarrierWeighting;
+use mpdf_fleet::{Batch, FleetError, RecordKind, ShardLog, StdIo};
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::human::HumanBody;
-use mpdf_session::checkpoint::CheckpointStore;
-use mpdf_session::runtime::{RecalOutcome, RecalPolicy, SessionConfig, SessionRuntime};
+use mpdf_session::checkpoint::{decode_snapshot_body, encode_snapshot_body, snapshot_body_len};
+use mpdf_session::runtime::{
+    RecalOutcome, RecalPolicy, SessionConfig, SessionRuntime, SessionSnapshot,
+};
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::receiver::CsiReceiver;
 
@@ -35,6 +44,11 @@ const PER_BLOCK: u64 = 8;
 const REL_STEP: f64 = 0.004;
 /// Session gain-drift amplitude (dB) added per block.
 const DB_STEP: f64 = 0.04;
+/// The checkpoint log's shard id and the session's link id in it.
+const CHECKPOINT_SHARD: u32 = 0;
+const CHECKPOINT_LINK: u64 = 0;
+/// Every save compacts explicitly, so the log never asks to.
+const CHECKPOINT_COMPACT_EVERY: usize = 0;
 
 /// Options for the session demo.
 #[derive(Debug, Clone, Default)]
@@ -94,18 +108,82 @@ fn emit(out: &mut dyn Write, line: &str) -> Result<(), String> {
     writeln!(out, "{line}").map_err(|e| format!("write session output: {e}"))
 }
 
+/// Opens the checkpoint log at `path`, returning it with the snapshot it
+/// holds — `None` for a missing checkpoint, or one no save reached yet,
+/// which calibrates.
+fn open_checkpoint(
+    path: &Path,
+    config: &DetectorConfig,
+) -> Result<(ShardLog<StdIo>, Option<SessionSnapshot>), String> {
+    let (mut log, recovery) =
+        ShardLog::open(StdIo, path, CHECKPOINT_SHARD, CHECKPOINT_COMPACT_EVERY)
+            .map_err(|e| format!("open checkpoint: {e}"))?;
+    if recovery.records == 0 {
+        // The first save rotates a `.bak` out, so a record-less log
+        // beside one (or with torn bytes) lost its saved state, and
+        // neither file holds a record to resume from. Recalibrating
+        // would silently discard the session; the refusal repeats on
+        // every run, since `open` truncating the damage away leaves the
+        // `.bak` in place.
+        if recovery.torn_bytes > 0 || log.bak_path().exists() {
+            return Err(format!(
+                "open checkpoint: {} has no intact record and neither does \
+                 its .bak; remove both to recalibrate",
+                path.display()
+            ));
+        }
+        return Ok((log, None));
+    }
+    // `open` returns only the recovery summary; the clean rescan (no
+    // truncation or rotation left to do) hands back the image.
+    let (_, image) = log.recover().map_err(|e| format!("open checkpoint: {e}"))?;
+    let (_, chain) = image
+        .chains()
+        .find(|&(link, _)| link == CHECKPOINT_LINK)
+        .ok_or_else(|| {
+            format!(
+                "open checkpoint: {} holds no session record",
+                path.display()
+            )
+        })?;
+    let snap =
+        decode_snapshot_body(chain.base, config).map_err(|e| format!("load checkpoint: {e}"))?;
+    Ok((log, Some(snap)))
+}
+
+/// Saves the session as the log's only record: one compaction, which
+/// rotates the previous save to `.bak`.
+fn save_checkpoint(
+    log: &mut ShardLog<StdIo>,
+    rt: &mut SessionRuntime<SubcarrierWeighting>,
+) -> Result<(), FleetError> {
+    let _stage = mpdf_obs::stage!("session.checkpoint");
+    let snap = rt.base_snapshot();
+    let mut base = Batch::new();
+    base.push_with(
+        RecordKind::Base,
+        CHECKPOINT_LINK,
+        snapshot_body_len(&snap),
+        |out| encode_snapshot_body(&snap, out).map_err(FleetError::from),
+    )?;
+    log.compact(base)?;
+    Ok(())
+}
+
 /// Runs (or resumes) the demo session, writing one line per processed
 /// window to `out`.
 ///
 /// With a checkpoint configured, the runtime state is saved after every
-/// window; if the checkpoint already exists the session resumes from its
+/// window; if the checkpoint holds a record the session resumes from its
 /// cursor instead of recalibrating, and prints only the windows it
 /// processes itself — concatenating a killed run's output with its
 /// resumed run's output reproduces the uninterrupted transcript exactly.
 ///
 /// # Errors
 /// Returns a rendered error string (the `repro` binary's error currency)
-/// on pipeline or checkpoint failures.
+/// on pipeline or checkpoint failures — including a checkpoint that is
+/// not a shard log, and one whose only record is damaged with no `.bak`
+/// record to fall back to.
 pub fn run_session_demo(
     cfg: &CampaignConfig,
     opts: &SessionDemoOptions,
@@ -116,13 +194,16 @@ pub fn run_session_demo(
     let case = &cases[0];
     let template = case_receiver(case, cfg, cfg.seed ^ 0xD81F)
         .map_err(|e| format!("session link geometry: {e}"))?;
-    let store = opts.checkpoint.as_ref().map(CheckpointStore::new);
+    let (mut log, restored) = match &opts.checkpoint {
+        Some(path) => {
+            let (log, snap) = open_checkpoint(path, &cfg.detector)?;
+            (Some(log), snap)
+        }
+        None => (None, None),
+    };
 
-    let mut rt = match &store {
-        Some(store) if store.exists() => {
-            let snap = store
-                .load(&cfg.detector)
-                .map_err(|e| format!("load checkpoint: {e}"))?;
+    let mut rt = match restored {
+        Some(snap) => {
             let rt = SessionRuntime::from_snapshot(
                 snap,
                 SubcarrierWeighting,
@@ -133,7 +214,7 @@ pub fn run_session_demo(
             emit(out, &format!("resumed window={}", rt.cursor()))?;
             rt
         }
-        _ => {
+        None => {
             // Calibration day: drift magnitude zero, one continuous
             // capture (window index space starts after it).
             let mut calib_rx = template.fork(cfg.seed ^ 0xCA11B);
@@ -183,10 +264,8 @@ pub fn run_session_demo(
                 rt.threshold().to_bits()
             ),
         )?;
-        if let Some(store) = &store {
-            store
-                .save(&rt.snapshot())
-                .map_err(|e| format!("checkpoint window {w}: {e}"))?;
+        if let Some(log) = &mut log {
+            save_checkpoint(log, &mut rt).map_err(|e| format!("checkpoint window {w}: {e}"))?;
         }
         processed += 1;
         if opts.kill_after.is_some_and(|n| processed >= n) && rt.cursor() < SESSION_WINDOWS {

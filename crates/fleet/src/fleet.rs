@@ -5,7 +5,7 @@
 //! calibration constants needed to rebuild a session runtime from a
 //! recovered snapshot (a snapshot stores the *mutable* state; scheme,
 //! detector config and session config are fleet-side constants, exactly
-//! as in the single-session checkpoint store).
+//! as in the single-session demo checkpoint).
 //!
 //! `step_tick` is deterministic at any thread count: windows are routed
 //! by link id, shards are stepped independently (in parallel through

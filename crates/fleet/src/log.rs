@@ -47,7 +47,13 @@
 //! a torn tail (a crash mid-append can only damage the suffix), so every
 //! link recovers a prefix of its history. If the header itself is
 //! damaged the previous-good `.bak` rotation — written by compaction —
-//! is recovered instead.
+//! is recovered instead. So is a `.bak` holding at least one record when
+//! the primary's header is intact but no record after it survives: a
+//! damaged single-record log (the session demo's checkpoint) then
+//! resumes from the record before it instead of from nothing. Compaction
+//! never leaves a record-less primary beside such a `.bak` (it keeps
+//! every chain, and its rewrite is staged), so this rule fires only on
+//! damage.
 //!
 //! ## Compaction
 //!
@@ -270,8 +276,10 @@ fn transient(kind: std::io::ErrorKind) -> bool {
     )
 }
 
-/// Bounded deterministic retry on transient IO errors, mirroring the
-/// session checkpoint store. Counted on `fleet.log.io_retries_total`.
+/// Bounded deterministic retry on transient IO errors: at most
+/// `IO_ATTEMPTS` tries, backing off with attempt-scaled scheduler yields
+/// rather than sleeps, so no clock is read. Counted on
+/// `fleet.log.io_retries_total`.
 /// A retried append re-writes its whole batch, so frames that had
 /// already landed before the error can appear twice; the scan skips
 /// such duplicates.
@@ -643,6 +651,12 @@ impl<IO: LogIo> ShardLog<IO> {
         &self.path
     }
 
+    /// The `.bak` rotation path: the file compaction rotates the
+    /// previous primary to.
+    pub fn bak_path(&self) -> &Path {
+        &self.bak
+    }
+
     /// Number of links with a chain in the log.
     pub fn live_links(&self) -> usize {
         self.links.len()
@@ -651,8 +665,9 @@ impl<IO: LogIo> ShardLog<IO> {
     /// Re-reads the on-disk state — the moral equivalent of a process
     /// restart — and returns every surviving chain. Torn tails are
     /// truncated (counted on `fleet.log.torn_tails_total`); an unreadable
-    /// primary falls back to the `.bak` rotation
-    /// (`fleet.log.bak_fallbacks_total`).
+    /// primary, or one with no intact record, falls back to the
+    /// `.bak` rotation (`fleet.log.bak_fallbacks_total`) — the latter
+    /// only when the `.bak` holds a record.
     ///
     /// # Errors
     /// IO failures, or the *primary's* typed corruption error when the
@@ -670,6 +685,13 @@ impl<IO: LogIo> ShardLog<IO> {
         };
 
         let (data, s, used_bak) = match primary {
+            // Header intact, yet no record survives (torn off, or the
+            // file cut at the header): a `.bak` that still holds one is
+            // the better image.
+            Some(Ok((data, s))) if s.records == 0 => match self.read_bak()? {
+                Some((bak, b)) if b.records > 0 => (bak, b, true),
+                _ => (data, s, false),
+            },
             Some(Ok((data, s))) => (data, s, false),
             // Primary unreadable at the header level (or missing): try
             // the previous-good rotation before giving up.
@@ -859,6 +881,43 @@ mod tests {
             let slice = &data[skip.min(data.len())..];
             prop_assert_eq!(crc64(slice), crc64_bytewise(slice));
         }
+    }
+
+    #[test]
+    fn transient_io_errors_are_retried_with_a_bounded_budget() {
+        use std::io::{Error, ErrorKind};
+        // Two interruptions, then success: absorbed.
+        let mut calls = 0;
+        let v = retry_io(|| {
+            calls += 1;
+            if calls < 3 {
+                Err(Error::new(ErrorKind::Interrupted, "signal"))
+            } else {
+                Ok(42)
+            }
+        })
+        .unwrap();
+        assert_eq!((v, calls), (42, 3));
+
+        // A persistent transient error exhausts the budget and surfaces.
+        let mut calls = 0;
+        let err = retry_io::<(), _>(|| {
+            calls += 1;
+            Err(Error::new(ErrorKind::WouldBlock, "busy"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
+        assert_eq!(calls, IO_ATTEMPTS);
+
+        // Non-transient errors fail on the first call.
+        let mut calls = 0;
+        let err = retry_io::<(), _>(|| {
+            calls += 1;
+            Err(Error::new(ErrorKind::PermissionDenied, "no"))
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
+        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! chains written as one group commit is truncated and bit-flipped at
 //! *every* byte offset: recovery must always yield, per link, a prefix of
 //! its history — never a half-record, never a delta without its base.
-//! Header-level damage falls back to the `.bak` rotation, empty files are
+//! Header-level damage falls back to the `.bak` rotation, and so does a
+//! primary with no intact record when the `.bak` holds one; empty files are
 //! typed errors, duplicated frames (a retried append) are skipped rather
 //! than applied twice, and recovery cannot starve compaction.
 
@@ -383,6 +384,89 @@ fn corrupt_primary_header_falls_back_to_valid_bak() {
     let (rec3, chains3) = recover(&path, 3).unwrap();
     assert!(!rec3.used_bak);
     assert_eq!(chains3, chains);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovers a shard-0 log from in-memory `primary` and `bak` files.
+fn recover_pair(primary: &[u8], bak: &[u8]) -> (mpdf_fleet::LogRecovery, Chains) {
+    let path = PathBuf::from("shard0.mpsl");
+    let mut io = MemIo::default();
+    io.files.insert(path.clone(), primary.to_vec());
+    io.files
+        .insert(PathBuf::from("shard0.mpsl.bak"), bak.to_vec());
+    let (mut log, rec) = ShardLog::open(io, path, 0, 0).unwrap();
+    let (_, image) = log.recover().unwrap();
+    (rec, chains_of(&image))
+}
+
+/// Writes link 1's birth record, then compacts once per image; returns
+/// the primary and `.bak` bytes.
+fn compacted_log(dir: &Path, images: &[&[u8]]) -> (Vec<u8>, Vec<u8>) {
+    let path = dir.join("shard0.mpsl");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(dir.join("shard0.mpsl.bak")).ok();
+    let (mut log, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+    let mut birth = Batch::new();
+    birth.push(RecordKind::Base, 1, b"birth").unwrap();
+    log.commit(birth).unwrap();
+    for image in images {
+        let mut base = Batch::new();
+        base.push(RecordKind::Base, 1, image).unwrap();
+        log.compact(base).unwrap();
+    }
+    let primary = std::fs::read(&path).unwrap();
+    let bak = std::fs::read(dir.join("shard0.mpsl.bak")).unwrap();
+    (primary, bak)
+}
+
+/// A single-record log (the session demo's checkpoint) whose only record
+/// is torn — or cut away at the header — recovers the previous
+/// compaction's image from the `.bak`: never nothing.
+#[test]
+fn a_torn_only_record_recovers_the_bak_image() {
+    let dir = temp_dir("torn_only");
+    let (first, second) = (vec![0x11u8; 40], vec![0x22u8; 56]);
+    let (primary, bak) = compacted_log(&dir, &[&first, &second]);
+    assert_eq!(primary.len(), HEADER_LEN + RECORD_OVERHEAD + second.len());
+    for cut in HEADER_LEN..=primary.len() {
+        let (rec, chains) = recover_pair(&primary[..cut], &bak);
+        let want = if cut == primary.len() {
+            &second
+        } else {
+            &first
+        };
+        assert_eq!(
+            chains,
+            Chains::from([(1, vec![want.clone()])]),
+            "cut {cut}: {rec:?}"
+        );
+        assert_eq!(rec.used_bak, cut < primary.len(), "cut {cut}");
+        assert_eq!(rec.records, 1, "cut {cut}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The rule needs a `.bak` that holds a record: an empty one (what the
+/// first compaction of a fresh log rotates out) is never used.
+#[test]
+fn a_bak_without_records_is_not_used() {
+    let dir = temp_dir("empty_bak");
+    let path = dir.join("shard0.mpsl");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(dir.join("shard0.mpsl.bak")).ok();
+    let (mut log, _) = ShardLog::open(StdIo, &path, 0, 0).unwrap();
+    let mut base = Batch::new();
+    base.push(RecordKind::Base, 1, &[0x33u8; 48]).unwrap();
+    log.compact(base).unwrap();
+    let primary = std::fs::read(&path).unwrap();
+    let bak = std::fs::read(dir.join("shard0.mpsl.bak")).unwrap();
+    assert_eq!(bak.len(), HEADER_LEN, "the .bak is the empty log");
+    for cut in HEADER_LEN..primary.len() {
+        let (rec, chains) = recover_pair(&primary[..cut], &bak);
+        assert!(!rec.used_bak, "cut {cut}: an empty .bak was used");
+        assert_eq!((rec.records, rec.torn_bytes), (0, cut - HEADER_LEN));
+        assert!(chains.is_empty(), "cut {cut}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,46 +1,33 @@
-//! Versioned, checksummed checkpoint files for session state.
+//! Session-state codec: full snapshots and incremental deltas.
 //!
-//! A checkpoint captures the complete dynamic state of a
+//! A snapshot captures the complete dynamic state of a
 //! [`SessionRuntime`](crate::runtime::SessionRuntime) — profile,
 //! threshold, HMM state, drift-sentinel state, supervision counters, the
 //! null reservoir and shadow buffer, and the seq cursor — so a killed
 //! session restores and continues **bit-identically**.
 //!
-//! Layout (all little-endian):
-//!
-//! ```text
-//! magic    b"MPSC"                             4 bytes
-//! version  u16                                 2
-//! paylen   u64  (payload byte count)           8
-//! payload  [paylen bytes]
-//! checksum u64  FNV-1a(64) over magic..payload 8
-//! ```
-//!
-//! The payload — the snapshot *body*, [`encode_snapshot_body`] — packs,
-//! in order: cursor, threshold, the calibration profile (shape,
-//! amplitudes, powers, per-subcarrier covariances, static spectrum —
-//! path weights are *re-derived* at restore, which is bit-identical
-//! arithmetic), the HMM parameters and carried posterior, the sentinel
-//! snapshot, supervision state (mode, retries, backoff, watchdog
-//! strikes), and the reservoir + shadow packet windows in the
-//! `mpdf_wifi::trace` per-packet encoding. The body is written in one
-//! pass into a buffer sized by [`snapshot_body_len`]; shard logs frame it
-//! directly under their own CRC, without this envelope.
+//! The snapshot *body*, [`encode_snapshot_body`], packs, in order
+//! (all little-endian): cursor, threshold, the calibration profile
+//! (shape, amplitudes, powers, per-subcarrier covariances, static
+//! spectrum — path weights are *re-derived* at restore, which is
+//! bit-identical arithmetic), the HMM parameters and carried posterior,
+//! the sentinel snapshot, supervision state (mode, retries, backoff,
+//! watchdog strikes), and the reservoir + shadow packet windows (per
+//! packet: seq `u64`, timestamp `f64`, then `antennas × subcarriers`
+//! interleaved `re, im` `f64`s). The body is written in one pass into a
+//! buffer sized by [`snapshot_body_len`].
 //!
 //! A [`SessionDelta`] is the incremental form: what one or more steps
 //! changed, applied to the previous snapshot with
 //! [`SessionDelta::apply_to`].
 //!
-//! [`CheckpointStore`] adds crash-safe file handling: atomic
-//! write-rename through a `.tmp` sibling, the previous good checkpoint
-//! retained as `.bak`, and corrupt/truncated-file detection on load
-//! falling back to the previous good file.
+//! This crate does no file IO. Neither encoding carries a checksum of
+//! its own: durability lives in `mpdf-fleet`'s shard log, which frames
+//! each body or delta as one CRC-64 record — for fleet links and for the
+//! single-session demo checkpoint (a one-link shard log) alike.
 
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-use bytes::{Buf, BufMut};
 
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::{Gaussian, HmmSmoother};
@@ -53,27 +40,11 @@ use mpdf_wifi::csi::CsiPacket;
 use crate::runtime::{SessionMode, SessionSnapshot};
 use crate::sentinel::{DriftState, SentinelSnapshot};
 
-/// Checkpoint file magic.
-pub const MAGIC: &[u8; 4] = b"MPSC";
-/// Current checkpoint format version.
-pub const VERSION: u16 = 1;
-
-/// Errors produced when loading a checkpoint.
+/// Errors produced when encoding or decoding session state.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The file does not start with the `MPSC` magic.
-    BadMagic,
-    /// The version field is unsupported.
-    UnsupportedVersion(u16),
-    /// The file ends before its declared payload/trailer.
+    /// The encoding ends before its declared contents.
     Truncated,
-    /// The trailing checksum does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum computed over the file contents.
-        computed: u64,
-    },
     /// The payload decodes but is internally inconsistent.
     Corrupt(String),
     /// The decoded state fails semantic validation (profile shapes, HMM
@@ -89,29 +60,18 @@ pub enum CheckpointError {
         /// Largest length the field can represent.
         max: u64,
     },
-    /// Underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::BadMagic => write!(f, "not an MPSC checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
             CheckpointError::Truncated => write!(f, "checkpoint ends before declared length"),
-            CheckpointError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            ),
             CheckpointError::Corrupt(what) => write!(f, "checkpoint is corrupt: {what}"),
             CheckpointError::Invalid(e) => write!(f, "checkpoint state is invalid: {e}"),
             CheckpointError::TooLarge { what, len, max } => write!(
                 f,
                 "cannot checkpoint {what}: {len} entries exceed the format's limit of {max}"
             ),
-            CheckpointError::Io(e) => write!(f, "i/o error on checkpoint: {e}"),
         }
     }
 }
@@ -119,16 +79,9 @@ impl fmt::Display for CheckpointError {
 impl Error for CheckpointError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            CheckpointError::Io(e) => Some(e),
             CheckpointError::Invalid(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
     }
 }
 
@@ -136,63 +89,6 @@ impl From<DetectError> for CheckpointError {
     fn from(e: DetectError) -> Self {
         CheckpointError::Invalid(e)
     }
-}
-
-/// Transient-IO retry budget for checkpoint writes: total attempts per
-/// operation before the error is surfaced to the session.
-const IO_ATTEMPTS: u32 = 4;
-
-/// True for error kinds that a bounded retry is allowed to absorb:
-/// signal interruptions and spurious would-block reports. Everything
-/// else (permissions, disk full, bad paths) fails immediately.
-fn transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-    )
-}
-
-/// Runs an IO operation with a bounded deterministic retry on transient
-/// errors. Backoff is attempt-scaled scheduler yields, not wall-clock
-/// sleeps: no clock is read, so retries can never make control flow
-/// time-dependent. Each retry is counted on
-/// `session.checkpoint_io_retries_total`.
-fn retry_io<T, F: FnMut() -> std::io::Result<T>>(mut op: F) -> std::io::Result<T> {
-    let mut attempt = 1;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if transient(e.kind()) && attempt < IO_ATTEMPTS => {
-                mpdf_obs::counter!("session.checkpoint_io_retries_total").inc();
-                for _ in 0..attempt {
-                    std::thread::yield_now();
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Fsyncs the directory containing `path`, making a just-completed
-/// rename of `path` itself durable (renames are directory mutations; the
-/// file's own `sync_all` does not cover them).
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    retry_io(|| std::fs::File::open(parent)?.sync_all())
-}
-
-/// FNV-1a 64-bit checksum.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Checked conversion of a collection length into a `u32` length field;
@@ -213,9 +109,6 @@ fn len_u16(what: &'static str, len: usize) -> Result<u16, CheckpointError> {
         max: u64::from(u16::MAX),
     })
 }
-
-/// Envelope bytes before the body: magic, version, body length.
-const ENVELOPE_HEAD: usize = 4 + 2 + 8;
 /// Encoded sentinel state: three f64s, the state tag, two u32 counters.
 const SENTINEL_LEN: usize = 3 * 8 + 1 + 4 + 4;
 /// Encoded supervision state: mode tag, retries, backoff, watchdog.
@@ -238,21 +131,21 @@ fn put_packets(
     antennas: usize,
     subcarriers: usize,
 ) -> Result<(), CheckpointError> {
-    buf.put_u32_le(len_u32("packet windows", windows.len())?);
+    buf.extend_from_slice(&len_u32("packet windows", windows.len())?.to_le_bytes());
     for w in windows {
-        buf.put_u32_le(len_u32("packets in a window", w.len())?);
+        buf.extend_from_slice(&len_u32("packets in a window", w.len())?.to_le_bytes());
         for p in w {
             debug_assert!(
                 p.antennas() == antennas && p.subcarriers() == subcarriers,
                 "checkpointed packet shape diverges from profile"
             );
-            buf.put_u64_le(p.seq);
-            buf.put_f64_le(p.timestamp);
+            buf.extend_from_slice(&p.seq.to_le_bytes());
+            buf.extend_from_slice(&p.timestamp.to_le_bytes());
             for a in 0..antennas {
                 for k in 0..subcarriers {
                     let z = p.get(a, k);
-                    buf.put_f64_le(z.re);
-                    buf.put_f64_le(z.im);
+                    buf.extend_from_slice(&z.re.to_le_bytes());
+                    buf.extend_from_slice(&z.im.to_le_bytes());
                 }
             }
         }
@@ -261,12 +154,12 @@ fn put_packets(
 }
 
 fn put_sentinel(buf: &mut Vec<u8>, s: &SentinelSnapshot) {
-    buf.put_f64_le(s.baseline_mean);
-    buf.put_f64_le(s.baseline_std);
-    buf.put_f64_le(s.ewma);
-    buf.put_u8(s.state.as_u8());
-    buf.put_u32_le(s.above_enter);
-    buf.put_u32_le(s.below_exit);
+    buf.extend_from_slice(&s.baseline_mean.to_le_bytes());
+    buf.extend_from_slice(&s.baseline_std.to_le_bytes());
+    buf.extend_from_slice(&s.ewma.to_le_bytes());
+    buf.push(s.state.as_u8());
+    buf.extend_from_slice(&s.above_enter.to_le_bytes());
+    buf.extend_from_slice(&s.below_exit.to_le_bytes());
 }
 
 fn put_supervision(
@@ -276,10 +169,10 @@ fn put_supervision(
     backoff: u64,
     watchdog: u32,
 ) {
-    buf.put_u8(mode.as_u8());
-    buf.put_u32_le(retries);
-    buf.put_u64_le(backoff);
-    buf.put_u32_le(watchdog);
+    buf.push(mode.as_u8());
+    buf.extend_from_slice(&retries.to_le_bytes());
+    buf.extend_from_slice(&backoff.to_le_bytes());
+    buf.extend_from_slice(&watchdog.to_le_bytes());
 }
 
 /// Exact byte length of [`encode_snapshot_body`]'s output, so callers
@@ -297,10 +190,8 @@ pub fn snapshot_body_len(snapshot: &SessionSnapshot) -> usize {
         + windows_len(&snapshot.shadow, a, s)
 }
 
-/// Appends the snapshot body — the checkpoint payload without its
-/// envelope — to `out` in one pass. Shard logs frame this body directly
-/// under their own CRC; [`encode_snapshot`] wraps it for checkpoint
-/// files.
+/// Appends the snapshot body to `out` in one pass. Shard logs frame it
+/// as one base record under their CRC.
 ///
 /// All packet windows in the snapshot must share the profile's
 /// `(antennas, subcarriers)` shape — the runtime guarantees this (every
@@ -316,33 +207,35 @@ pub fn encode_snapshot_body(
 ) -> Result<(), CheckpointError> {
     let antennas = snapshot.profile.antennas();
     let subcarriers = snapshot.profile.subcarriers();
-    out.put_u64_le(snapshot.cursor);
-    out.put_f64_le(snapshot.threshold);
+    out.extend_from_slice(&snapshot.cursor.to_le_bytes());
+    out.extend_from_slice(&snapshot.threshold.to_le_bytes());
 
     // Profile.
-    out.put_u16_le(len_u16("profile antennas", antennas)?);
-    out.put_u16_le(len_u16("profile subcarriers", subcarriers)?);
+    out.extend_from_slice(&len_u16("profile antennas", antennas)?.to_le_bytes());
+    out.extend_from_slice(&len_u16("profile subcarriers", subcarriers)?.to_le_bytes());
     for row in snapshot.profile.static_amplitude() {
         for &v in row {
-            out.put_f64_le(v);
+            out.extend_from_slice(&v.to_le_bytes());
         }
     }
     for &v in snapshot.profile.static_power() {
-        out.put_f64_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
     for r in snapshot.profile.static_covariances() {
         for z in r.as_slice() {
-            out.put_f64_le(z.re);
-            out.put_f64_le(z.im);
+            out.extend_from_slice(&z.re.to_le_bytes());
+            out.extend_from_slice(&z.im.to_le_bytes());
         }
     }
     let spectrum = snapshot.profile.static_spectrum();
-    out.put_u32_le(len_u32("spectrum angle grid", spectrum.angles_deg().len())?);
+    out.extend_from_slice(
+        &len_u32("spectrum angle grid", spectrum.angles_deg().len())?.to_le_bytes(),
+    );
     for &a in spectrum.angles_deg() {
-        out.put_f64_le(a);
+        out.extend_from_slice(&a.to_le_bytes());
     }
     for &v in spectrum.values() {
-        out.put_f64_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
 
     // HMM + carried posterior.
@@ -357,7 +250,7 @@ pub fn encode_snapshot_body(
         snapshot.hmm.llr_cap,
         snapshot.posterior,
     ] {
-        out.put_f64_le(v);
+        out.extend_from_slice(&v.to_le_bytes());
     }
 
     put_sentinel(out, &snapshot.sentinel);
@@ -374,64 +267,41 @@ pub fn encode_snapshot_body(
     put_packets(out, &snapshot.shadow, antennas, subcarriers)
 }
 
-/// Serializes a session snapshot into a checkpoint file image: the
-/// [`encode_snapshot_body`] body inside the `MPSC` envelope.
-///
-/// # Errors
-/// See [`encode_snapshot_body`].
-pub fn encode_snapshot(snapshot: &SessionSnapshot) -> Result<Vec<u8>, CheckpointError> {
-    let body_len = snapshot_body_len(snapshot);
-    let mut buf = Vec::with_capacity(ENVELOPE_HEAD + body_len + 8);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(body_len as u64);
-    encode_snapshot_body(snapshot, &mut buf)?;
-    debug_assert_eq!(
-        buf.len(),
-        ENVELOPE_HEAD + body_len,
-        "snapshot_body_len drifted"
-    );
-    let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    Ok(buf)
-}
-
 /// Bounds-checked little-endian reader over the payload.
 struct Reader<'a> {
     buf: &'a [u8],
 }
 
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize) -> Result<(), CheckpointError> {
-        if self.buf.remaining() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(())
+impl Reader<'_> {
+    /// The next `N` bytes, or [`CheckpointError::Truncated`].
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CheckpointError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, CheckpointError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        let [b] = self.take()?;
+        Ok(b)
     }
 
     fn u16(&mut self) -> Result<u16, CheckpointError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        Ok(u16::from_le_bytes(self.take()?))
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
+        Ok(f64::from_le_bytes(self.take()?))
     }
 }
 
@@ -443,14 +313,14 @@ fn read_windows(
     let count = r.u32()? as usize;
     // Each window needs at least one length field; a count larger than
     // the remaining bytes is corruption, not an allocation request.
-    if count > r.buf.remaining() {
+    if count > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut windows = Vec::with_capacity(count);
     for _ in 0..count {
         let n = r.u32()? as usize;
         let per_packet = 16 + antennas * subcarriers * 16;
-        if n.saturating_mul(per_packet) > r.buf.remaining() {
+        if n.saturating_mul(per_packet) > r.buf.len() {
             return Err(CheckpointError::Truncated);
         }
         let mut w = Vec::with_capacity(n);
@@ -496,58 +366,22 @@ fn read_supervision(r: &mut Reader<'_>) -> Result<(SessionMode, u32, u64, u32), 
 }
 
 fn expect_end(r: &Reader<'_>) -> Result<(), CheckpointError> {
-    if r.buf.remaining() != 0 {
+    if !r.buf.is_empty() {
         return Err(CheckpointError::Corrupt(format!(
             "{} trailing bytes after payload",
-            r.buf.remaining()
+            r.buf.len()
         )));
     }
     Ok(())
 }
 
-/// Deserializes a checkpoint file image (see [`encode_snapshot`]).
+/// Deserializes a snapshot body (see [`encode_snapshot_body`]). The body
+/// carries no checksum of its own: callers frame it under one (the shard
+/// log's CRC-64).
 ///
 /// `config` supplies the deployment constants (angular gate) needed to
 /// re-derive the profile's path weights — restore must use the same
 /// [`DetectorConfig`] the session was calibrated with.
-///
-/// # Errors
-/// See [`CheckpointError`]; any single corrupted byte is caught by the
-/// trailing checksum.
-pub fn decode_snapshot(
-    data: &[u8],
-    config: &DetectorConfig,
-) -> Result<SessionSnapshot, CheckpointError> {
-    if data.len() < ENVELOPE_HEAD + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let (body, trailer) = data.split_at(data.len() - 8);
-    let stored = (&mut { trailer }).get_u64_le();
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(CheckpointError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = Reader { buf: body };
-    let mut magic = [0u8; 4];
-    r.need(4)?;
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let paylen = r.u64()? as usize;
-    if paylen != r.buf.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    decode_snapshot_body(r.buf, config)
-}
-
-/// Deserializes a snapshot body (see [`encode_snapshot_body`]). The body
-/// carries no checksum of its own: callers frame it under one (the shard
-/// log's CRC-64, the checkpoint file's FNV-1a).
 ///
 /// # Errors
 /// [`CheckpointError::Truncated`], [`CheckpointError::Corrupt`] and
@@ -590,7 +424,7 @@ pub fn decode_snapshot_body(
         static_covariances.push(CMatrix::from_rows(antennas, antennas, &entries));
     }
     let grid_len = r.u32()? as usize;
-    if grid_len == 0 || grid_len.saturating_mul(16) > r.buf.remaining() {
+    if grid_len == 0 || grid_len.saturating_mul(16) > r.buf.len() {
         return Err(CheckpointError::Truncated);
     }
     let mut angles = Vec::with_capacity(grid_len);
@@ -733,8 +567,8 @@ impl SessionDelta {
     /// field; `out` may then hold a partial encoding.
     pub fn encode(&self, out: &mut Vec<u8>) -> Result<(), CheckpointError> {
         let (antennas, subcarriers) = self.shape();
-        out.put_u64_le(self.cursor);
-        out.put_f64_le(self.posterior);
+        out.extend_from_slice(&self.cursor.to_le_bytes());
+        out.extend_from_slice(&self.posterior.to_le_bytes());
         put_sentinel(out, &self.sentinel);
         put_supervision(
             out,
@@ -743,11 +577,11 @@ impl SessionDelta {
             self.backoff_remaining,
             self.watchdog_strikes,
         );
-        out.put_u16_le(len_u16("delta antennas", antennas)?);
-        out.put_u16_le(len_u16("delta subcarriers", subcarriers)?);
-        out.put_u32_le(len_u32("reservoir evictions", self.reservoir_evict)?);
+        out.extend_from_slice(&len_u16("delta antennas", antennas)?.to_le_bytes());
+        out.extend_from_slice(&len_u16("delta subcarriers", subcarriers)?.to_le_bytes());
+        out.extend_from_slice(&len_u32("reservoir evictions", self.reservoir_evict)?.to_le_bytes());
         put_packets(out, &self.reservoir_push, antennas, subcarriers)?;
-        out.put_u8(u8::from(self.shadow_clear));
+        out.push(u8::from(self.shadow_clear));
         put_packets(out, &self.shadow_push, antennas, subcarriers)
     }
 
@@ -845,100 +679,6 @@ impl SessionDelta {
     }
 }
 
-/// Crash-safe checkpoint file handling: atomic write-rename plus a
-/// retained previous-good file for corruption fallback.
-#[derive(Debug, Clone)]
-pub struct CheckpointStore {
-    path: PathBuf,
-}
-
-impl CheckpointStore {
-    /// Binds a store to a checkpoint path. `<path>.tmp` and `<path>.bak`
-    /// siblings are used for staging and the previous good checkpoint.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointStore { path: path.into() }
-    }
-
-    /// The main checkpoint path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn sibling(&self, suffix: &str) -> PathBuf {
-        let mut name = self.path.as_os_str().to_os_string();
-        name.push(suffix);
-        PathBuf::from(name)
-    }
-
-    /// Whether a checkpoint (main or previous-good) exists on disk.
-    pub fn exists(&self) -> bool {
-        self.path.exists() || self.sibling(".bak").exists()
-    }
-
-    /// Atomically saves a snapshot: the image is written to `<path>.tmp`
-    /// and fsynced, the current checkpoint (if any) is retained as
-    /// `<path>.bak`, the temp file is renamed into place, and the parent
-    /// directory is fsynced so the renames themselves are durable. A
-    /// crash (or power cut) at any point leaves either the old or the
-    /// new checkpoint loadable — the rename can never publish a file
-    /// whose data blocks were still in the page cache.
-    ///
-    /// Transient IO errors (`Interrupted`, `WouldBlock`) are absorbed by
-    /// a bounded deterministic retry instead of failing the session on
-    /// the first occurrence.
-    ///
-    /// # Errors
-    /// Propagates non-transient (or retry-exhausted) I/O failures.
-    pub fn save(&self, snapshot: &SessionSnapshot) -> Result<(), CheckpointError> {
-        let _stage = mpdf_obs::stage!("session.checkpoint");
-        let bytes = encode_snapshot(snapshot)?;
-        let tmp = self.sibling(".tmp");
-        retry_io(|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()
-        })?;
-        if self.path.exists() {
-            retry_io(|| std::fs::rename(&self.path, self.sibling(".bak")))?;
-        }
-        retry_io(|| std::fs::rename(&tmp, &self.path))?;
-        sync_parent_dir(&self.path)?;
-        mpdf_obs::counter!("session.checkpoint_writes_total").inc();
-        Ok(())
-    }
-
-    /// Loads the most recent good checkpoint: the main file first, and on
-    /// corruption/truncation (or a missing main file) the previous good
-    /// `.bak`. Returns the *primary* error when both fail to decode.
-    ///
-    /// # Errors
-    /// See [`CheckpointError`]. A missing store (neither file exists)
-    /// surfaces as [`CheckpointError::Io`] with `NotFound`.
-    pub fn load(&self, config: &DetectorConfig) -> Result<SessionSnapshot, CheckpointError> {
-        let primary = match std::fs::read(&self.path) {
-            Ok(data) => match decode_snapshot(&data, config) {
-                Ok(snap) => {
-                    mpdf_obs::counter!("session.checkpoint_restores_total").inc();
-                    return Ok(snap);
-                }
-                Err(e) => e,
-            },
-            Err(e) => CheckpointError::Io(e),
-        };
-        match std::fs::read(self.sibling(".bak")) {
-            Ok(data) => match decode_snapshot(&data, config) {
-                Ok(snap) => {
-                    mpdf_obs::counter!("session.checkpoint_fallbacks_total").inc();
-                    mpdf_obs::counter!("session.checkpoint_restores_total").inc();
-                    Ok(snap)
-                }
-                Err(_) => Err(primary),
-            },
-            Err(_) => Err(primary),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1000,152 +740,26 @@ mod tests {
     }
 
     #[test]
-    fn transient_io_errors_are_retried_with_a_bounded_budget() {
-        use std::io::{Error, ErrorKind};
-        // Two interruptions, then success: absorbed.
-        let mut calls = 0;
-        let v = retry_io(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(Error::new(ErrorKind::Interrupted, "signal"))
-            } else {
-                Ok(42)
-            }
-        })
-        .unwrap();
-        assert_eq!((v, calls), (42, 3));
-
-        // A persistent transient error exhausts the budget and surfaces.
-        let mut calls = 0;
-        let err = retry_io::<(), _>(|| {
-            calls += 1;
-            Err(Error::new(ErrorKind::WouldBlock, "busy"))
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::WouldBlock);
-        assert_eq!(calls, IO_ATTEMPTS);
-
-        // Non-transient errors fail on the first call.
-        let mut calls = 0;
-        let err = retry_io::<(), _>(|| {
-            calls += 1;
-            Err(Error::new(ErrorKind::PermissionDenied, "no"))
-        })
-        .unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_is_exact() {
+    fn body_roundtrip_is_exact() {
         let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap();
-        assert_eq!(bytes.len(), ENVELOPE_HEAD + snapshot_body_len(&snap) + 8);
-        let decoded = decode_snapshot(&bytes, &DetectorConfig::default()).unwrap();
+        let mut bytes = Vec::new();
+        encode_snapshot_body(&snap, &mut bytes).unwrap();
+        assert_eq!(bytes.len(), snapshot_body_len(&snap));
+        let decoded = decode_snapshot_body(&bytes, &DetectorConfig::default()).unwrap();
         assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_typed() {
-        let snap = snapshot();
-        let mut bytes = encode_snapshot(&snap).unwrap();
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        // Checksum catches the flip first (it covers the magic); fixing
-        // the checksum reveals the magic check.
-        let body_len = wrong_magic.len() - 8;
-        let fixed = fnv1a(&wrong_magic[..body_len]).to_le_bytes();
-        wrong_magic[body_len..].copy_from_slice(&fixed);
-        assert!(matches!(
-            decode_snapshot(&wrong_magic, &DetectorConfig::default()),
-            Err(CheckpointError::BadMagic)
-        ));
-        bytes[4] = 9;
-        let body_len = bytes.len() - 8;
-        let fixed = fnv1a(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&fixed);
-        assert!(matches!(
-            decode_snapshot(&bytes, &DetectorConfig::default()),
-            Err(CheckpointError::UnsupportedVersion(9))
-        ));
-    }
-
-    #[test]
-    fn any_single_byte_corruption_is_a_checksum_mismatch() {
-        let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap();
-        // Probe a spread of positions including the trailer.
-        let step = (bytes.len() / 37).max(1);
-        for i in (0..bytes.len()).step_by(step) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x5a;
-            assert!(
-                matches!(
-                    decode_snapshot(&corrupt, &DetectorConfig::default()),
-                    Err(CheckpointError::ChecksumMismatch { .. })
-                ),
-                "byte {i} corruption not caught"
-            );
-        }
     }
 
     #[test]
     fn truncation_is_detected() {
         let snap = snapshot();
-        let bytes = encode_snapshot(&snap).unwrap();
+        let mut bytes = Vec::new();
+        encode_snapshot_body(&snap, &mut bytes).unwrap();
         for cut in [0usize, 10, 21, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_snapshot(&bytes[..cut], &DetectorConfig::default()).unwrap_err();
+            let err = decode_snapshot_body(&bytes[..cut], &DetectorConfig::default()).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    CheckpointError::Truncated | CheckpointError::ChecksumMismatch { .. }
-                ),
+                matches!(err, CheckpointError::Truncated),
                 "cut {cut}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn store_saves_atomically_and_falls_back_to_previous_good() {
-        let dir =
-            std::env::temp_dir().join(format!("mpdf_ckpt_test_{}_{}", std::process::id(), line!()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(dir.join("session.ckpt"));
-        let cfg = DetectorConfig::default();
-
-        assert!(!store.exists());
-        assert!(matches!(
-            store.load(&cfg),
-            Err(CheckpointError::Io(ref e)) if e.kind() == std::io::ErrorKind::NotFound
-        ));
-
-        let mut rt = runtime();
-        let first = rt.snapshot();
-        store.save(&first).unwrap();
-        assert!(store.exists());
-        assert_eq!(store.load(&cfg).unwrap(), first);
-
-        // Second save retains the first as previous-good.
-        rt.step(&[]).unwrap_or_else(|_| unreachable!());
-        let second = rt.snapshot();
-        store.save(&second).unwrap();
-        assert_eq!(store.load(&cfg).unwrap(), second);
-
-        // Corrupt the main file: load falls back to the previous good.
-        let mut data = std::fs::read(store.path()).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xff;
-        std::fs::write(store.path(), &data).unwrap();
-        assert_eq!(store.load(&cfg).unwrap(), first);
-
-        // Corrupt the backup too: the primary (typed) error surfaces.
-        let bak = store.sibling(".bak");
-        std::fs::write(&bak, b"garbage").unwrap();
-        assert!(matches!(
-            store.load(&cfg),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,9 +15,10 @@
 //!   recalibration (shadow buffer → candidate profile → rollback guard →
 //!   atomic swap), window-counted exponential backoff and graceful
 //!   degradation to frozen-profile mode;
-//! - [`checkpoint`] — versioned, checksummed serialization of the full
-//!   session state with atomic write-rename and previous-good fallback,
-//!   so a killed session restores bit-identically.
+//! - [`checkpoint`] — the codec for the full session state (snapshot
+//!   body) and for what a step changed (delta), so a killed session
+//!   restores bit-identically. Files are not this crate's concern: the
+//!   shard log in `mpdf-fleet` makes these encodings durable.
 //!
 //! Everything is deterministic and clock-free: retry budgets, backoff and
 //! watchdog deadlines are counted in *windows*, never wall time, so a
@@ -30,7 +31,7 @@ pub mod checkpoint;
 pub mod runtime;
 pub mod sentinel;
 
-pub use checkpoint::{CheckpointError, CheckpointStore, SessionDelta};
+pub use checkpoint::{CheckpointError, SessionDelta};
 pub use runtime::{
     RecalOutcome, RecalPolicy, SessionConfig, SessionDecision, SessionMode, SessionRuntime,
 };

@@ -39,10 +39,11 @@
 //!
 //! `len` is always `20 + 16·antennas·subcarriers`; the decoder rejects
 //! any frame whose declared length disagrees with its declared shape, so
-//! a corrupt length field can never request an unbounded read. Unlike
-//! the capture-file format ([`crate::trace`]) there is no stream-level
-//! header: every frame is self-describing, so a receiver can join a
-//! stream mid-flight and lock on at the next sync byte.
+//! a corrupt length field can never request an unbounded read. There is
+//! no stream-level header: every frame is self-describing, so a receiver
+//! can join a stream mid-flight and lock on at the next sync byte, and a
+//! capture file is simply an [`encode_stream`] output read back with
+//! [`drain_frames`] (the `record_replay` example).
 
 use std::error::Error;
 use std::fmt;

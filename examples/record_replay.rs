@@ -2,15 +2,18 @@
 //! through a detector offline — the workflow the paper's MATLAB
 //! post-processing pipeline follows (capture once, analyze many times).
 //!
-//! Run with `cargo run --release --example record_replay [capture.mpdf]`.
+//! A capture is a stream of CSI wire frames (`mpdf_wifi::wire`), the same
+//! format the streaming ingest path decodes.
+//!
+//! Run with `cargo run --release --example record_replay [capture.csi]`.
 
-use mpdf_wifi::trace::{read_capture, write_capture};
+use mpdf_wifi::wire::{drain_frames, encode_stream};
 use multipath_hd::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::args().nth(1).unwrap_or_else(|| {
         std::env::temp_dir()
-            .join("campaign.mpdf")
+            .join("campaign.csi")
             .display()
             .to_string()
     });
@@ -27,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     receiver.resample_drift();
     stream.extend(receiver.capture_static(Some(&person), 50)?); // 2 busy windows
 
-    let file = std::fs::File::create(&path)?;
-    write_capture(std::io::BufWriter::new(file), &stream)?;
+    std::fs::write(&path, encode_stream(&stream, 0)?)?;
     let size = std::fs::metadata(&path)?.len();
     println!(
         "recorded {} packets ({} antennas × {} subcarriers) → {path} ({size} bytes)",
@@ -38,7 +40,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Replay: a fresh process would start here.
-    let packets = read_capture(std::fs::File::open(&path)?)?;
+    let bytes = std::fs::read(&path)?;
+    let mut packets = Vec::new();
+    let stats = drain_frames(&bytes, &mut packets);
+    if stats.rejects > 0 || stats.consumed != bytes.len() {
+        return Err(format!(
+            "corrupt capture: {} rejected runs, {} of {} bytes decoded",
+            stats.rejects,
+            stats.consumed,
+            bytes.len()
+        )
+        .into());
+    }
     assert_eq!(packets, stream, "capture must round-trip exactly");
     let (calibration, monitoring) = packets.split_at(500);
     let detector = Detector::calibrate(
