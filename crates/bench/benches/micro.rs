@@ -25,13 +25,14 @@ use mpdf_music::covariance::sample_covariance;
 use mpdf_music::music::{pseudospectrum, AngleGrid, UlaSteering};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::tracer::{trace, TraceConfig};
+use mpdf_propagation::trajectory::StaticSway;
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::dft::{dft, nudft_at_delay};
 use mpdf_rfmath::eig::hermitian_eig;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_session::runtime::{SessionConfig, SessionRuntime};
 use mpdf_wifi::band::Band;
-use mpdf_wifi::receiver::CsiReceiver;
+use mpdf_wifi::receiver::{Actor, CsiReceiver};
 use mpdf_wifi::sanitize::sanitize_packet;
 use mpdf_wifi::wire;
 
@@ -75,6 +76,23 @@ fn bench_physics(c: &mut Criterion) {
     let freqs = Band::wifi_2_4ghz_channel11().frequencies();
     g.bench_function("cfr_30_subcarriers", |b| {
         b.iter(|| black_box(snap.cfr(black_box(&freqs))));
+    });
+    // One campaign window: a fork of the link's receiver captures 25
+    // packets of one swaying person (per-packet modulation + table CFR
+    // + impairments).
+    // lint: allow(no-panic) — bench fixture; aborting on a broken fixture is the desired behaviour
+    let receiver = CsiReceiver::new(link.clone(), 1).expect("valid receiver");
+    let sway = StaticSway::new(mpdf_geom::vec2::Point::new(4.0, 3.5), 0.03);
+    let actors = [Actor {
+        body,
+        trajectory: &sway,
+    }];
+    g.bench_function("capture_window_25pkt", |b| {
+        b.iter(|| {
+            let mut rx = receiver.fork(black_box(7));
+            // lint: allow(no-panic) — bench fixture; the capture cannot fail on a valid link
+            black_box(rx.capture_actors(&actors, 25).expect("capture"))
+        });
     });
     g.finish();
 }

@@ -6,6 +6,10 @@
 //!
 //! `H(f) = Σ_i a_i·e^{-jθ_i(f)}`
 //!
+//! A [`CfrTable`] evaluates the same sum per packet: it precomputes the
+//! terms of the environment paths that no body changes, and takes the
+//! bodies' effect from [`ChannelModel::modulate_into`].
+//!
 //! Snapshots also expose *ground truth* the physical testbed could never
 //! report — the true per-frequency LOS power fraction — which the test
 //! suite uses to validate the paper's measurable multipath-factor proxy.
@@ -198,40 +202,74 @@ impl ChannelModel {
     ///
     /// Every environment path is attenuated by the product of all body
     /// shadow factors; each body contributes its own scatter path, itself
-    /// shadowed by the *other* bodies.
+    /// shadowed by the *other* bodies. The snapshot is
+    /// [`ChannelModel::modulate_into`] with every static path scaled by
+    /// its `β`, followed by the scatter paths.
     ///
     /// # Errors
     /// Propagates [`TraceError`].
     pub fn snapshot_multi(&self, humans: &[HumanBody]) -> Result<ChannelSnapshot, TraceError> {
-        let paths = if humans.is_empty() {
-            self.static_paths.as_ref().clone()
-        } else {
-            // One exact-size allocation: attenuate the shared static
-            // paths directly instead of cloning and re-collecting.
-            let mut paths = Vec::with_capacity(self.static_paths.len() + humans.len());
-            for p in self.static_paths.iter() {
-                let beta: f64 = humans.iter().map(|b| b.shadow_factor(p)).product();
-                paths.push(p.attenuated(beta));
-            }
-            for (i, body) in humans.iter().enumerate() {
-                if let Some(sp) = body.scatter_path(&self.env, self.tx, self.rx) {
-                    let beta: f64 = humans
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != i)
-                        .map(|(_, other)| other.shadow_factor(&sp))
-                        .product();
-                    paths.push(sp.attenuated(beta));
-                }
-            }
-            paths
-        };
+        let mut m = Modulation::default();
+        self.modulate_into(humans, &mut m);
+        let paths = self
+            .static_paths
+            .iter()
+            .zip(&m.betas)
+            .map(|(p, &beta)| p.attenuated(beta))
+            .chain(m.scatter)
+            .collect();
         Ok(ChannelSnapshot {
             paths,
             pathloss: self.pathloss,
             rx: self.rx,
         })
     }
+
+    /// Writes how `humans` modulate the link into `out` (both buffers
+    /// cleared first): the shadowing product `β` of every static path,
+    /// in trace order, then one scatter path per body that is not on an
+    /// endpoint, shadowed by the other bodies (paper Eq. 4 and Eq. 7).
+    ///
+    /// This is everything about a snapshot that changes from packet to
+    /// packet; together with a [`CfrTable`] it evaluates the CFR without
+    /// cloning any static path.
+    pub fn modulate_into(&self, humans: &[HumanBody], out: &mut Modulation) {
+        out.betas.clear();
+        out.betas.extend(
+            self.static_paths
+                .iter()
+                .map(|p| humans.iter().map(|b| b.shadow_factor(p)).product::<f64>()),
+        );
+        out.scatter.clear();
+        for (i, body) in humans.iter().enumerate() {
+            if let Some(sp) = body.scatter_path(&self.env, self.tx, self.rx) {
+                let beta: f64 = humans
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, other)| other.shadow_factor(&sp))
+                    .product();
+                out.scatter.push(sp.attenuated(beta));
+            }
+        }
+    }
+
+    /// Builds the static-path CFR table of this link over the frequency
+    /// grid `freqs` and the observation offsets `offsets` (one per array
+    /// element). See [`CfrTable`].
+    pub fn cfr_table(&self, freqs: &[f64], offsets: &[Vec2]) -> CfrTable {
+        CfrTable::new(&self.static_paths, self.pathloss, freqs, offsets)
+    }
+}
+
+/// How the bodies in a scene modulate a link at one instant, written by
+/// [`ChannelModel::modulate_into`] into buffers the caller reuses.
+#[derive(Debug, Clone, Default)]
+pub struct Modulation {
+    /// Shadowing product `β` of each static path, in trace order.
+    pub betas: Vec<f64>,
+    /// One scatter path per body, each already shadowed by the others.
+    pub scatter: Vec<PropagationPath>,
 }
 
 /// A frozen path set with CFR evaluation.
@@ -330,33 +368,6 @@ impl ChannelSnapshot {
         }
     }
 
-    /// Precomputes the offset-invariant part of the CFR over `freqs`:
-    /// one complex base gain per (path, frequency). Evaluating the plan
-    /// at an array-element offset then costs only one `cis` and one
-    /// complex multiply per sample — the receiver amortizes the
-    /// `powf`/`sqrt`/`sin`/`cos` setup across all antennas and (for a
-    /// static scene) all packets of a capture.
-    pub fn cfr_plan(&self, freqs: &[f64]) -> CfrPlan {
-        let mut base = Vec::with_capacity(self.paths.len() * freqs.len());
-        let mut dirs = Vec::with_capacity(self.paths.len());
-        for p in &self.paths {
-            let d = p.length();
-            let pd = self.pathloss.distance_term(d);
-            let af = p.amplitude_factor();
-            dirs.push(p.arrival_direction());
-            for &f in freqs {
-                let amplitude = af * self.pathloss.amplitude_gain_hoisted(pd, f);
-                let phase = -2.0 * std::f64::consts::PI * f * d / SPEED_OF_LIGHT;
-                base.push(Complex64::from_polar(amplitude, phase));
-            }
-        }
-        CfrPlan {
-            freqs: freqs.to_vec(),
-            base,
-            dirs,
-        }
-    }
-
     /// **Ground truth** LOS power fraction at frequency `f`: the exact
     /// quantity the paper's multipath factor `μ` (Eq. 3/11) estimates.
     ///
@@ -394,61 +405,163 @@ impl ChannelSnapshot {
     }
 }
 
-/// Offset-invariant CFR evaluation plan over a fixed frequency grid —
-/// see [`ChannelSnapshot::cfr_plan`].
+/// Per-link static-path CFR table over a fixed frequency grid and
+/// array: every term of `H(f)` that no packet changes.
 ///
-/// The plan stores the complex base gain of every (path, frequency)
-/// pair; [`CfrPlan::eval_into`] applies only the per-element plane-wave
-/// phase shift on top, reproducing [`ChannelSnapshot::cfr_with_offset`]
-/// bit for bit.
-#[derive(Debug, Clone)]
-pub struct CfrPlan {
+/// Bodies only scale the static paths' amplitudes (`β`) and add scatter
+/// paths, so for each static path the table holds the Friis amplitude
+/// and the travel-phase `cos`/`sin` per frequency, and the plane-wave
+/// phasor per (element, frequency). [`CfrTable::eval_into`] then costs
+/// three multiplies per (path, frequency) and one complex multiply-add
+/// per element, and reproduces [`ChannelSnapshot::cfr_with_offset`] of
+/// the matching snapshot bit for bit: each sample evaluates the same
+/// expression tree, with the packet-invariant operands precomputed.
+#[derive(Debug)]
+pub struct CfrTable {
     freqs: Vec<f64>,
-    /// Base gain per (path, frequency), row-major `[path][freq]`.
-    base: Vec<Complex64>,
-    /// Arrival direction per path (`None` = degenerate final leg).
-    dirs: Vec<Option<Vec2>>,
+    offsets: Vec<Vec2>,
+    pathloss: PathLossModel,
+    /// Amplitude factor of each static path, before shadowing.
+    factors: Vec<f64>,
+    /// `amplitude_gain_hoisted(distance_term(d), f)`, `[path][freq]`.
+    friis: Vec<f64>,
+    /// `(cos, sin)` of the travel phase `-2πfd/c`, `[path][freq]`.
+    travel: Vec<(f64, f64)>,
+    /// `cis(-2πf(u·offset)/c)`, `[path][element][freq]` over the paths
+    /// that have an arrival direction.
+    phasors: Vec<Complex64>,
+    /// Start of each path's rows in `phasors`; `None` for a path without
+    /// an arrival direction (its gain reaches every element unshifted).
+    phasor_rows: Vec<Option<usize>>,
 }
 
-impl CfrPlan {
-    /// The frequency grid the plan was built for.
-    pub fn freqs(&self) -> &[f64] {
-        &self.freqs
+impl CfrTable {
+    fn new(
+        paths: &[PropagationPath],
+        pathloss: PathLossModel,
+        freqs: &[f64],
+        offsets: &[Vec2],
+    ) -> CfrTable {
+        let cells = paths.len() * freqs.len();
+        let mut table = CfrTable {
+            freqs: freqs.to_vec(),
+            offsets: offsets.to_vec(),
+            pathloss,
+            factors: Vec::with_capacity(paths.len()),
+            friis: Vec::with_capacity(cells),
+            travel: Vec::with_capacity(cells),
+            phasors: Vec::with_capacity(cells * offsets.len()),
+            phasor_rows: Vec::with_capacity(paths.len()),
+        };
+        for p in paths {
+            let d = p.length();
+            let pd = pathloss.distance_term(d);
+            table.factors.push(p.amplitude_factor());
+            for &f in freqs {
+                table.friis.push(pathloss.amplitude_gain_hoisted(pd, f));
+                let phase = -2.0 * std::f64::consts::PI * f * d / SPEED_OF_LIGHT;
+                table.travel.push((phase.cos(), phase.sin()));
+            }
+            let rows = p.arrival_direction().map(|u| {
+                let start = table.phasors.len();
+                for off in offsets {
+                    // Extra travel to the displaced element: u·offset.
+                    let extra = u.dot(*off);
+                    table.phasors.extend(freqs.iter().map(|&f| {
+                        Complex64::cis(-2.0 * std::f64::consts::PI * f * extra / SPEED_OF_LIGHT)
+                    }));
+                }
+                start
+            });
+            table.phasor_rows.push(rows);
+        }
+        table
     }
 
-    /// Evaluates the CFR at an observation point displaced `offset`
-    /// metres from the nominal receiver, writing into a caller-provided
-    /// buffer (cleared and resized to the grid length).
-    pub fn eval_into(&self, offset: Vec2, out: &mut Vec<Complex64>) {
+    /// Evaluates the CFR of the modulated link at every element into
+    /// `out`, row-major `[element][freq]` (cleared and resized). Static
+    /// paths come first, in trace order, then the scatter paths, so each
+    /// sample accumulates its paths in snapshot order.
+    ///
+    /// # Panics
+    /// Panics if `m` does not hold one `β` per static path of the link
+    /// the table was built for.
+    pub fn eval_into(&self, m: &Modulation, out: &mut Vec<Complex64>) {
+        assert_eq!(
+            m.betas.len(),
+            self.factors.len(),
+            "modulation must hold one β per static path"
+        );
         let nf = self.freqs.len();
         out.clear();
-        out.resize(nf, Complex64::ZERO);
-        for (pi, dir) in self.dirs.iter().enumerate() {
-            let row = &self.base[pi * nf..(pi + 1) * nf];
-            match dir {
-                Some(u) => {
-                    // Extra travel to the displaced element: u·offset.
-                    let extra = u.dot(offset);
-                    for ((h, &g), &f) in out.iter_mut().zip(row).zip(self.freqs.iter()) {
-                        *h += g * Complex64::cis(
-                            -2.0 * std::f64::consts::PI * f * extra / SPEED_OF_LIGHT,
-                        );
+        out.resize(self.offsets.len() * nf, Complex64::ZERO);
+        if nf == 0 {
+            return;
+        }
+        let mut gains = Vec::with_capacity(nf);
+        for (i, (&factor, &beta)) in self.factors.iter().zip(&m.betas).enumerate() {
+            // Exactly `attenuated(β).amplitude_factor()`, then per sample
+            // exactly `Complex64::from_polar(af * friis, phase)`.
+            let af = factor * beta;
+            let cells = i * nf..(i + 1) * nf;
+            gains.clear();
+            gains.extend(
+                self.friis[cells.clone()]
+                    .iter()
+                    .zip(&self.travel[cells])
+                    .map(|(&a, &(cos, sin))| {
+                        let amplitude = af * a;
+                        Complex64::new(amplitude * cos, amplitude * sin)
+                    }),
+            );
+            match self.phasor_rows[i] {
+                Some(start) => {
+                    let phasors = self.phasors[start..].chunks_exact(nf);
+                    for (row, phasors) in out.chunks_exact_mut(nf).zip(phasors) {
+                        for ((h, &g), &ph) in row.iter_mut().zip(&gains).zip(phasors) {
+                            *h += g * ph;
+                        }
                     }
                 }
                 None => {
-                    for (h, &g) in out.iter_mut().zip(row) {
-                        *h += g;
+                    for row in out.chunks_exact_mut(nf) {
+                        for (h, &g) in row.iter_mut().zip(&gains) {
+                            *h += g;
+                        }
                     }
                 }
             }
         }
+        for p in &m.scatter {
+            self.add_path(p, &mut gains, out);
+        }
     }
 
-    /// Evaluates the CFR at `offset` into a fresh vector.
-    pub fn eval(&self, offset: Vec2) -> Vec<Complex64> {
-        let mut out = Vec::new();
-        self.eval_into(offset, &mut out);
-        out
+    /// Adds one path's CFR at every element with the pointwise formula
+    /// of [`ChannelSnapshot::cfr_with_offset_into`]; `gains` is a reused buffer.
+    fn add_path(&self, p: &PropagationPath, gains: &mut Vec<Complex64>, out: &mut [Complex64]) {
+        let d = p.length();
+        let pd = self.pathloss.distance_term(d);
+        let af = p.amplitude_factor();
+        gains.clear();
+        gains.extend(self.freqs.iter().map(|&f| {
+            let amplitude = af * self.pathloss.amplitude_gain_hoisted(pd, f);
+            let phase = -2.0 * std::f64::consts::PI * f * d / SPEED_OF_LIGHT;
+            Complex64::from_polar(amplitude, phase)
+        }));
+        let dir = p.arrival_direction();
+        for (row, off) in out.chunks_exact_mut(self.freqs.len()).zip(&self.offsets) {
+            for ((h, &g), &f) in row.iter_mut().zip(gains.iter()).zip(&self.freqs) {
+                *h += match dir {
+                    Some(u) => {
+                        // Extra travel to the displaced element: u·offset.
+                        let extra = u.dot(*off);
+                        g * Complex64::cis(-2.0 * std::f64::consts::PI * f * extra / SPEED_OF_LIGHT)
+                    }
+                    None => g,
+                };
+            }
+        }
     }
 }
 
@@ -591,7 +704,7 @@ mod tests {
     #[test]
     fn batch_cfr_bitwise_matches_pointwise_at_offsets() {
         // The perf-critical contract: the hoisted batch evaluation and
-        // the precomputed plan must reproduce `cfr_at` to the bit, for
+        // the static-path table must reproduce `cfr_at` to the bit, for
         // every path kind (LOS, wall bounces, human scatter) and every
         // element offset including the nominal receiver.
         let model = link();
@@ -599,19 +712,51 @@ mod tests {
         let snap = model.snapshot(Some(&body)).unwrap();
         let freqs: Vec<f64> = (0..30).map(|k| 2.442e9 + k as f64 * 1.25e6).collect();
         let offsets = [Vec2::ZERO, Vec2::new(0.0, 0.0609), Vec2::new(-0.031, 0.017)];
-        let plan = snap.cfr_plan(&freqs);
+        let table = model.cfr_table(&freqs, &offsets);
+        let mut m = Modulation::default();
+        model.modulate_into(&[body], &mut m);
         let mut buf = Vec::new();
-        for off in offsets {
+        table.eval_into(&m, &mut buf);
+        for (e, &off) in offsets.iter().enumerate() {
             let batch = snap.cfr_with_offset(&freqs, off);
-            plan.eval_into(off, &mut buf);
             for (k, &f) in freqs.iter().enumerate() {
                 let reference = snap.cfr_at(f, off);
                 assert_eq!(batch[k].re.to_bits(), reference.re.to_bits());
                 assert_eq!(batch[k].im.to_bits(), reference.im.to_bits());
-                assert_eq!(buf[k].re.to_bits(), reference.re.to_bits());
-                assert_eq!(buf[k].im.to_bits(), reference.im.to_bits());
+                let h = buf[e * freqs.len() + k];
+                assert_eq!(h.re.to_bits(), reference.re.to_bits());
+                assert_eq!(h.im.to_bits(), reference.im.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn snapshot_is_the_modulated_static_paths_then_scatter() {
+        let model = link();
+        let bodies = [HumanBody::new(p(4.0, 3.0)), HumanBody::new(p(3.0, 4.5))];
+        let mut m = Modulation::default();
+        model.modulate_into(&bodies, &mut m);
+        let snap = model.snapshot_multi(&bodies).unwrap();
+        let n = model.static_paths.len();
+        assert_eq!(m.betas.len(), n);
+        assert_eq!(m.scatter.len(), 2);
+        assert_eq!(snap.paths().len(), n + 2);
+        for ((path, base), &beta) in snap
+            .paths()
+            .iter()
+            .zip(model.static_paths.iter())
+            .zip(&m.betas)
+        {
+            assert_eq!(*path, base.attenuated(beta));
+        }
+        assert_eq!(&snap.paths()[n..], &m.scatter[..]);
+        // No bodies: every β is exactly 1 and the snapshot is the trace.
+        model.modulate_into(&[], &mut m);
+        assert!(m.betas.iter().all(|&b| b == 1.0) && m.scatter.is_empty());
+        assert_eq!(
+            model.snapshot(None).unwrap().paths(),
+            &model.static_paths[..]
+        );
     }
 
     #[test]
@@ -663,5 +808,124 @@ mod tests {
         // LOS arrives travelling in +x: angle ≈ 0.
         assert!(angles.iter().any(|&(a, _)| a.abs() < 1e-9));
         assert_eq!(angles.len(), snap.paths().len());
+    }
+
+    mod table_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn assert_bitwise(
+            table: &CfrTable,
+            m: &Modulation,
+            snap: &ChannelSnapshot,
+        ) -> Result<(), TestCaseError> {
+            let mut h = Vec::new();
+            table.eval_into(m, &mut h);
+            let nf = table.freqs.len();
+            prop_assert_eq!(h.len(), table.offsets.len() * nf);
+            for (e, &off) in table.offsets.iter().enumerate() {
+                let oracle = snap.cfr_with_offset(&table.freqs, off);
+                for (k, o) in oracle.iter().enumerate() {
+                    let t = h[e * nf + k];
+                    prop_assert!(
+                        t.re.to_bits() == o.re.to_bits() && t.im.to_bits() == o.im.to_bits(),
+                        "element {} subcarrier {}: table {:?} vs oracle {:?}",
+                        e,
+                        k,
+                        t,
+                        o
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        /// A body anywhere in the room, on the LOS, near the receiver or
+        /// exactly on an endpoint (where it has no scatter path).
+        fn body() -> impl Strategy<Value = HumanBody> {
+            (
+                0usize..4,
+                0.3f64..7.7,
+                0.3f64..5.7,
+                -0.3f64..0.3,
+                -0.3f64..0.3,
+            )
+                .prop_map(|(place, x, y, dx, dy)| {
+                    HumanBody::new(match place {
+                        0 => p(x, y),
+                        1 => p(2.0 + (x - 0.3) * 4.0 / 7.4, 3.0),
+                        2 => p(6.0 + dx, 3.0 + dy),
+                        _ if dx < 0.0 => p(2.0, 3.0),
+                        _ => p(6.0, 3.0),
+                    })
+                })
+        }
+
+        /// A 1–8 element linear array with arbitrary axis and spacing.
+        fn array() -> impl Strategy<Value = Vec<Vec2>> {
+            (1usize..9, 0.0f64..std::f64::consts::TAU, 0.02f64..0.08).prop_map(
+                |(n, axis, spacing)| {
+                    let mid = (n as f64 - 1.0) / 2.0;
+                    (0..n)
+                        .map(|e| Vec2::new(axis.cos(), axis.sin()) * ((e as f64 - mid) * spacing))
+                        .collect()
+                },
+            )
+        }
+
+        fn grid() -> impl Strategy<Value = Vec<f64>> {
+            (2.40e9f64..5.8e9, 0.3e6f64..2.5e6, 1usize..57)
+                .prop_map(|(f0, df, n)| (0..n).map(|k| f0 + k as f64 * df).collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn table_matches_the_snapshot_oracle_bitwise(
+                bodies in 0usize..3,
+                a in body(),
+                b in body(),
+                offsets in array(),
+                freqs in grid(),
+            ) {
+                let model = link();
+                let humans = &[a, b][..bodies];
+                let table = model.cfr_table(&freqs, &offsets);
+                let mut m = Modulation::default();
+                model.modulate_into(humans, &mut m);
+                assert_bitwise(&table, &m, &model.snapshot_multi(humans).unwrap())?;
+            }
+
+            #[test]
+            fn paths_without_arrival_direction_match_the_oracle_bitwise(
+                af in 0.0f64..1.0,
+                beta in 0.0f64..1.0,
+                offsets in array(),
+                freqs in grid(),
+            ) {
+                // A final leg of zero length has no arrival direction.
+                let (tx, rx) = (p(2.0, 3.0), p(6.0, 3.0));
+                let stub = PropagationPath::new(
+                    vec![tx, p(4.0, 5.0), rx, rx],
+                    af,
+                    PathKind::WallReflection { order: 1 },
+                );
+                prop_assert!(stub.arrival_direction().is_none());
+                let mut statics = link().static_paths.as_ref().clone();
+                statics.insert(1, stub.clone());
+                let pathloss = PathLossModel::default();
+                let table = CfrTable::new(&statics, pathloss, &freqs, &offsets);
+                let m = Modulation {
+                    betas: (0..statics.len()).map(|i| if i % 2 == 0 { beta } else { 1.0 }).collect(),
+                    scatter: vec![stub.attenuated(beta)],
+                };
+                let mut paths: Vec<_> =
+                    statics.iter().zip(&m.betas).map(|(p, &b)| p.attenuated(b)).collect();
+                paths.extend(m.scatter.iter().cloned());
+                let snap = ChannelSnapshot { paths, pathloss, rx };
+                assert_bitwise(&table, &m, &snap)?;
+            }
+        }
     }
 }

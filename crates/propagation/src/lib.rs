@@ -6,7 +6,9 @@
 //! and CFR evaluation with per-antenna phase offsets.
 //!
 //! Pipeline: [`environment::Environment`] → [`tracer::trace`] →
-//! [`channel::ChannelSnapshot`] → CFR samples consumed by `mpdf-wifi`.
+//! [`channel::ChannelSnapshot`] → CFR samples. The `mpdf-wifi` receiver
+//! evaluates the same CFR per packet through a per-link
+//! [`channel::CfrTable`] and [`channel::ChannelModel::modulate_into`].
 //!
 //! ```
 //! use mpdf_geom::shapes::Rect;
@@ -38,7 +40,7 @@ pub mod pathloss;
 pub mod tracer;
 pub mod trajectory;
 
-pub use channel::{ChannelModel, ChannelSnapshot};
+pub use channel::{CfrTable, ChannelModel, ChannelSnapshot, Modulation};
 pub use environment::Environment;
 pub use human::HumanBody;
 pub use material::Material;

@@ -6,14 +6,17 @@
 //! hands back [`CsiPacket`]s. All randomness comes from one seeded RNG so
 //! campaigns are exactly reproducible.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use mpdf_propagation::channel::{CfrPlan, ChannelModel};
+use mpdf_propagation::channel::{CfrTable, ChannelModel, Modulation};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::tracer::TraceError;
 use mpdf_propagation::trajectory::Trajectory;
+use mpdf_rfmath::complex::Complex64;
 
 use crate::array::UniformLinearArray;
 use crate::band::Band;
@@ -36,14 +39,14 @@ pub struct ReceiverConfig {
     /// Packet rate in Hz (default 50).
     pub packet_rate_hz: f64,
     /// Amplitude of session-to-session clutter drift, relative to the RMS
-    /// CSI amplitude (default 0.04). Real campaigns span days: doors,
+    /// CSI amplitude (default 0.025). Real campaigns span days: doors,
     /// chairs and equipment move between the calibration and monitoring
     /// sessions, perturbing the static profile. Modelled as one weak
     /// extra path with random delay, arrival angle and phase, resampled
     /// by [`CsiReceiver::resample_drift`]. `0` disables drift.
     pub clutter_drift_rel: f64,
     /// Peak flat gain drift between sessions in dB (uniform in
-    /// `±session_gain_drift_db`; default 1.0). Applied by
+    /// `±session_gain_drift_db`; default 0.3). Applied by
     /// [`CsiReceiver::resample_drift`] alongside the clutter path.
     pub session_gain_drift_db: f64,
     /// Injected receiver faults (default: none). Applied after the
@@ -74,6 +77,10 @@ impl Default for ReceiverConfig {
 pub struct CsiReceiver {
     channel: ChannelModel,
     config: ReceiverConfig,
+    /// The link's static-path CFR table over the band and array, built
+    /// once (none of the three changes after construction) and shared by
+    /// every fork.
+    cfr: Arc<CfrTable>,
     /// Fixed front-end gain normalizing CSI amplitudes to O(1).
     gain: f64,
     /// Reference per-sample signal power used to size AWGN (measured on
@@ -81,7 +88,7 @@ pub struct CsiReceiver {
     reference_power: f64,
     /// Current session's clutter-drift CSI, `[antenna][subcarrier]`
     /// row-major; zero until [`CsiReceiver::resample_drift`] is called.
-    drift: Vec<mpdf_rfmath::complex::Complex64>,
+    drift: Vec<Complex64>,
     /// Current session's flat gain drift (linear amplitude; 1 = none).
     session_gain: f64,
     /// Current session's interferer centre subcarrier.
@@ -120,23 +127,23 @@ impl CsiReceiver {
         // Normalize so a 1 m LOS link has unit amplitude.
         let fc = config.band.center_hz();
         let gain = 1.0 / channel.pathloss().amplitude_gain(1.0, fc);
-        let snapshot = channel.snapshot(None)?;
         let freqs = config.band.frequencies();
-        let plan = snapshot.cfr_plan(&freqs);
-        let mut power = 0.0;
         let offsets = config.array.offsets();
-        let mut buf = Vec::new();
-        for off in &offsets {
-            plan.eval_into(*off, &mut buf);
-            for &h in &buf {
-                power += (h * gain).norm_sqr();
-            }
+        let cfr = Arc::new(channel.cfr_table(&freqs, &offsets));
+        let mut empty = Modulation::default();
+        channel.modulate_into(&[], &mut empty);
+        let mut h = Vec::new();
+        cfr.eval_into(&empty, &mut h);
+        let mut power = 0.0;
+        for &h in &h {
+            power += (h * gain).norm_sqr();
         }
         let reference_power = (power / (offsets.len() * freqs.len()) as f64).max(f64::MIN_POSITIVE);
-        let drift = vec![mpdf_rfmath::complex::Complex64::ZERO; offsets.len() * freqs.len()];
+        let drift = vec![Complex64::ZERO; offsets.len() * freqs.len()];
         Ok(CsiReceiver {
             channel,
             config,
+            cfr,
             gain,
             reference_power,
             drift,
@@ -167,7 +174,7 @@ impl CsiReceiver {
         rx.session_gain = 1.0;
         rx.interferer_center = self.config.band.num_subcarriers() / 2;
         for d in &mut rx.drift {
-            *d = mpdf_rfmath::complex::Complex64::ZERO;
+            *d = Complex64::ZERO;
         }
         rx
     }
@@ -206,7 +213,6 @@ impl CsiReceiver {
     /// calibration day vs. monitoring day); a no-op when
     /// `clutter_drift_rel == 0`.
     pub fn resample_drift(&mut self) {
-        use mpdf_rfmath::complex::Complex64;
         use rand::Rng as _;
         // Flat gain drift: TX power control, AGC reference and thermal
         // effects shift the whole CSI level between sessions.
@@ -266,42 +272,38 @@ impl CsiReceiver {
         self.reference_power
     }
 
-    /// Clean (impairment-free) packet for a frozen channel snapshot,
-    /// including the current session's clutter drift. The CFR plan hoists
-    /// the per-path setup out of the per-element loop (and, for a static
-    /// scene, out of the per-packet loop entirely); `buf` is the reused
-    /// per-element CFR scratch.
-    fn clean_packet(
+    /// Clean (impairment-free) samples of the scene with `bodies`,
+    /// row-major `[antenna][subcarrier]`, including the current session's
+    /// gain and clutter drift. `m` and `h` are reused buffers.
+    fn clean_data(
         &self,
-        plan: &CfrPlan,
-        offsets: &[mpdf_geom::vec2::Vec2],
-        buf: &mut Vec<mpdf_rfmath::complex::Complex64>,
-    ) -> CsiPacket {
-        let nf = plan.freqs().len();
-        let mut data = Vec::with_capacity(offsets.len() * nf);
-        for (i, off) in offsets.iter().enumerate() {
-            plan.eval_into(*off, buf);
-            for (k, &h) in buf.iter().enumerate() {
-                data.push((h * self.gain + self.drift[i * nf + k]) * self.session_gain);
-            }
-        }
-        CsiPacket::new(offsets.len(), nf, data, self.seq, self.time)
+        bodies: &[HumanBody],
+        m: &mut Modulation,
+        h: &mut Vec<Complex64>,
+    ) -> Vec<Complex64> {
+        self.channel.modulate_into(bodies, m);
+        self.cfr.eval_into(m, h);
+        h.iter()
+            .zip(&self.drift)
+            .map(|(&h, &d)| (h * self.gain + d) * self.session_gain)
+            .collect()
     }
 
-    /// Emits one packet slot into `out`. With faults disabled this pushes
-    /// exactly one packet and never touches the fault RNG stream; with
-    /// faults enabled the slot may contribute zero (loss, hold-back), one
-    /// or two (duplicate, released hold-back) packets. The sequence
-    /// number and clock advance once per slot either way, so lost packets
-    /// leave visible sequence gaps.
-    fn emit_into(
-        &mut self,
-        plan: &CfrPlan,
-        offsets: &[mpdf_geom::vec2::Vec2],
-        buf: &mut Vec<mpdf_rfmath::complex::Complex64>,
-        out: &mut Vec<CsiPacket>,
-    ) {
-        let mut packet = self.clean_packet(plan, offsets, buf);
+    /// Emits one packet slot carrying the clean samples `data` into
+    /// `out`. With faults disabled this pushes exactly one packet and
+    /// never touches the fault RNG stream; with faults enabled the slot
+    /// may contribute zero (loss, hold-back), one or two (duplicate,
+    /// released hold-back) packets. The sequence number and clock advance
+    /// once per slot either way, so lost packets leave visible sequence
+    /// gaps.
+    fn emit_into(&mut self, data: Vec<Complex64>, out: &mut Vec<CsiPacket>) {
+        let mut packet = CsiPacket::new(
+            self.config.array.elements(),
+            self.config.band.num_subcarriers(),
+            data,
+            self.seq,
+            self.time,
+        );
         self.config.impairments.apply_with_interferer(
             &mut packet,
             self.config.band.indices(),
@@ -338,22 +340,20 @@ impl CsiReceiver {
         human: Option<&HumanBody>,
         n: usize,
     ) -> Result<Vec<CsiPacket>, TraceError> {
-        let snapshot = self.channel.snapshot(human)?;
-        // One plan for the whole capture: the scene is frozen, so every
-        // packet shares the per-path/per-frequency CFR setup.
-        let plan = snapshot.cfr_plan(&self.config.band.frequencies());
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
+        // The scene, drift and session gain are frozen for the whole
+        // capture, so every slot carries the same clean samples.
+        let bodies = human.map_or(&[][..], std::slice::from_ref);
+        let clean = self.clean_data(bodies, &mut Modulation::default(), &mut Vec::new());
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
+            self.emit_into(clean.clone(), &mut out);
         }
         self.flush_faults(&mut out);
         Ok(out)
     }
 
     /// Captures `n` packets while the human follows `trajectory`
-    /// (re-tracing the channel per packet). Time starts at the current
+    /// (re-evaluating the channel per packet). Time starts at the current
     /// receiver clock and the trajectory is evaluated on the *elapsed*
     /// time since this call began.
     ///
@@ -365,19 +365,31 @@ impl CsiReceiver {
         trajectory: &T,
         n: usize,
     ) -> Result<Vec<CsiPacket>, TraceError> {
+        Ok(self.capture_scene(n, |t, bodies| {
+            bodies.push(body.at(trajectory.position(t)));
+        }))
+    }
+
+    /// Captures `n` packets of a scene whose bodies `place` writes for
+    /// each slot's elapsed time since this call began.
+    fn capture_scene(
+        &mut self,
+        n: usize,
+        mut place: impl FnMut(f64, &mut Vec<HumanBody>),
+    ) -> Vec<CsiPacket> {
         let t0 = self.time;
-        let freqs = self.config.band.frequencies();
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
+        let mut bodies = Vec::new();
+        let mut m = Modulation::default();
+        let mut h = Vec::new();
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let pos = trajectory.position(self.time - t0);
-            let snapshot = self.channel.snapshot(Some(&body.at(pos)))?;
-            let plan = snapshot.cfr_plan(&freqs);
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
+            bodies.clear();
+            place(self.time - t0, &mut bodies);
+            let data = self.clean_data(&bodies, &mut m, &mut h);
+            self.emit_into(data, &mut out);
         }
         self.flush_faults(&mut out);
-        Ok(out)
+        out
     }
 
     /// Current receiver clock in seconds.
@@ -423,26 +435,9 @@ impl CsiReceiver {
         if actors.is_empty() {
             return self.capture_static(None, n);
         }
-        let t0 = self.time;
-        let freqs = self.config.band.frequencies();
-        let offsets = self.config.array.offsets();
-        let mut buf = Vec::new();
-        let mut bodies = Vec::with_capacity(actors.len());
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let elapsed = self.time - t0;
-            bodies.clear();
-            bodies.extend(
-                actors
-                    .iter()
-                    .map(|a| a.body.at(a.trajectory.position(elapsed))),
-            );
-            let snapshot = self.channel.snapshot_multi(&bodies)?;
-            let plan = snapshot.cfr_plan(&freqs);
-            self.emit_into(&plan, &offsets, &mut buf, &mut out);
-        }
-        self.flush_faults(&mut out);
-        Ok(out)
+        Ok(self.capture_scene(n, |t, bodies| {
+            bodies.extend(actors.iter().map(|a| a.body.at(a.trajectory.position(t))));
+        }))
     }
 }
 
@@ -705,6 +700,104 @@ mod tests {
         assert!((rx.clock() - 2.0).abs() < 1e-9);
         // Sequence numbers expose the gaps.
         assert!(packets.last().map(|p| p.seq).unwrap_or(0) >= packets.len() as u64);
+    }
+
+    /// The packets `rx` must emit for the scene `bodies_at(elapsed)`,
+    /// built from the snapshot oracle (`cfr_with_offset` per element)
+    /// and the impairment model on a copy of the receiver's RNG.
+    fn oracle_packets(
+        rx: &CsiReceiver,
+        n: usize,
+        bodies_at: impl Fn(f64) -> Vec<HumanBody>,
+    ) -> Vec<CsiPacket> {
+        let mut rng = rx.rng.clone();
+        let freqs = rx.band().frequencies();
+        let offsets = rx.array().offsets();
+        let mut time = rx.time;
+        (0..n)
+            .map(|i| {
+                let snap = rx
+                    .channel
+                    .snapshot_multi(&bodies_at(time - rx.time))
+                    .unwrap();
+                let mut data = Vec::new();
+                for (e, &off) in offsets.iter().enumerate() {
+                    let h = snap.cfr_with_offset(&freqs, off);
+                    for (k, &h) in h.iter().enumerate() {
+                        let drift = rx.drift[e * freqs.len() + k];
+                        data.push((h * rx.gain + drift) * rx.session_gain);
+                    }
+                }
+                let mut p =
+                    CsiPacket::new(offsets.len(), freqs.len(), data, rx.seq + i as u64, time);
+                rx.config.impairments.apply_with_interferer(
+                    &mut p,
+                    rx.band().indices(),
+                    rx.reference_power,
+                    Some(rx.interferer_center),
+                    &mut rng,
+                );
+                time += 1.0 / rx.config.packet_rate_hz;
+                p
+            })
+            .collect()
+    }
+
+    fn bits(packets: &[CsiPacket]) -> Vec<(u64, u64, Vec<u64>)> {
+        packets
+            .iter()
+            .map(|p| {
+                let samples = (0..p.antennas())
+                    .flat_map(|a| (0..p.subcarriers()).map(move |k| (a, k)))
+                    .flat_map(|(a, k)| [p.get(a, k).re.to_bits(), p.get(a, k).im.to_bits()])
+                    .collect();
+                (p.seq, p.timestamp.to_bits(), samples)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn captures_match_oracle_built_packets_bitwise() {
+        let mut parent = CsiReceiver::new(link(), 11).unwrap();
+        parent.resample_drift();
+        let walk = LinearWalk::new(Vec2::new(2.5, 1.0), Vec2::new(5.5, 5.0), 1.5);
+        let sway = mpdf_propagation::trajectory::StaticSway::new(Vec2::new(4.0, 3.1), 0.03);
+        let actors = [
+            Actor {
+                body: HumanBody::new(Vec2::ZERO),
+                trajectory: &walk,
+            },
+            Actor {
+                body: HumanBody::new(Vec2::ZERO),
+                trajectory: &sway,
+            },
+        ];
+        let at = |t: f64| -> Vec<HumanBody> {
+            actors
+                .iter()
+                .map(|a| a.body.at(a.trajectory.position(t)))
+                .collect()
+        };
+        let still = HumanBody::new(Vec2::new(4.0, 3.0));
+        for seed in [1, 2, 3] {
+            // Plain forks have zero drift; drift-preserving forks carry
+            // the parent's clutter path and session gain.
+            for fork in [parent.fork(seed), parent.fork_with_drift(seed)] {
+                let mut rx = fork.clone();
+                let expect = oracle_packets(&rx, 12, at);
+                assert_eq!(
+                    bits(&rx.capture_actors(&actors, 12).unwrap()),
+                    bits(&expect)
+                );
+                let expect = oracle_packets(&rx, 7, |_| vec![still]);
+                assert_eq!(
+                    bits(&rx.capture_static(Some(&still), 7).unwrap()),
+                    bits(&expect)
+                );
+                let expect = oracle_packets(&rx, 5, |_| Vec::new());
+                assert_eq!(bits(&rx.capture_static(None, 5).unwrap()), bits(&expect));
+            }
+        }
     }
 
     #[test]
