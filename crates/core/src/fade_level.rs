@@ -8,13 +8,11 @@
 //! from a single packet without any formula. Implemented here so the
 //! ablation benches can compare both as link-state indicators.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_propagation::pathloss::PathLossModel;
 use mpdf_rfmath::db::power_to_db;
 
 /// Classification of a link by fade level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FadeState {
     /// Measured power well below prediction: destructive multipath.
     DeepFade,

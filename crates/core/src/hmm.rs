@@ -13,14 +13,12 @@
 //! vanish between 0.5 s windows. Isolated background blips then lose to
 //! the transition prior, while sustained presence accumulates evidence.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::stats::{mean, std_dev};
 
 use crate::error::DetectError;
 
 /// A 1-D Gaussian emission model over `log10(score)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     /// Mean of `log10(score)`.
     pub mean: f64,
@@ -38,7 +36,7 @@ impl Gaussian {
 }
 
 /// Two-state presence smoother.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmmSmoother {
     /// Emission model of the Absent state.
     pub absent: Gaussian,

@@ -5,10 +5,8 @@
 //! `φ`. They are used to generate theory overlays for the Fig. 3
 //! experiments and as oracles in tests of the measured multipath factor.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the two-path analysis channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoPathLink {
     /// LOS/reflection amplitude ratio `γ > 0` (the paper assumes `γ > 1`).
     pub gamma: f64,

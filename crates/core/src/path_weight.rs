@@ -10,12 +10,10 @@
 //! with the angular gate (±60° in the paper's implementation) excluding
 //! the error-prone large-angle region of a short linear array.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_music::music::Pseudospectrum;
 
 /// Angular weights derived from a calibration pseudospectrum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathWeights {
     angles_deg: Vec<f64>,
     weights: Vec<f64>,

@@ -11,10 +11,9 @@
 //! - the static angular pseudospectrum and the path weights derived from
 //!   it (Eq. 17).
 
-use serde::{Deserialize, Serialize};
-
-use mpdf_music::covariance::{forward_backward, SlidingCovariance};
+use mpdf_music::covariance::per_subcarrier_fb_covariances;
 use mpdf_music::music::{pseudospectrum, AngleGrid, Pseudospectrum, UlaSteering};
+use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::matrix::CMatrix;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
@@ -25,7 +24,7 @@ use crate::error::DetectError;
 use crate::path_weight::PathWeights;
 
 /// Pipeline configuration shared by calibration and monitoring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// Band plan (frequencies + subcarrier indices).
     pub band: Band,
@@ -66,7 +65,7 @@ impl Default for DetectorConfig {
 }
 
 /// The stored no-human baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationProfile {
     antennas: usize,
     subcarriers: usize,
@@ -158,23 +157,9 @@ impl CalibrationProfile {
         // calibration capture.
         let static_power = CsiPacket::median_power_profile(&sanitized);
 
-        // Per-subcarrier covariances and the pooled static spectrum. One
-        // incremental accumulator is reset and refilled per subcarrier —
-        // bitwise the batch estimate, without per-snapshot `Vec` churn.
-        let mut static_covariances = Vec::with_capacity(subcarriers);
-        let mut sliding = SlidingCovariance::new(antennas, sanitized.len());
-        let mut col = Vec::with_capacity(antennas);
-        for k in 0..subcarriers {
-            sliding.reset();
-            for p in &sanitized {
-                p.subcarrier_column_into(k, &mut col);
-                sliding.push(&col);
-            }
-            let r = sliding
-                .covariance()
-                .map_err(mpdf_music::music::MusicError::from)?;
-            static_covariances.push(forward_backward(&r));
-        }
+        // Per-subcarrier covariances (the kernel the combined scheme
+        // scores windows with) and the pooled static spectrum.
+        let static_covariances = subcarrier_covariances(&sanitized)?;
         let pooled = pool_covariances(&static_covariances, None);
         let static_spectrum =
             pseudospectrum(&pooled, &config.steering, config.num_sources, &config.grid)?;
@@ -297,6 +282,23 @@ impl CalibrationProfile {
     }
 }
 
+/// Per-subcarrier forward–backward covariances of equal-shape sanitized
+/// packets: [`per_subcarrier_fb_covariances`] over their antenna rows.
+/// Calibration and the combined scheme both go through here, so the two
+/// sides of the §IV-C comparison share one estimator.
+///
+/// # Errors
+/// [`DetectError::Music`] on an empty or ragged window.
+pub(crate) fn subcarrier_covariances(packets: &[CsiPacket]) -> Result<Vec<CMatrix>, DetectError> {
+    let dim = packets.first().map_or(0, CsiPacket::antennas);
+    let rows: Vec<&[Complex64]> = packets
+        .iter()
+        .flat_map(|p| (0..p.antennas()).map(move |a| p.antenna_row(a)))
+        .collect();
+    per_subcarrier_fb_covariances(dim, &rows)
+        .map_err(|e| DetectError::from(mpdf_music::music::MusicError::from(e)))
+}
+
 /// Pools per-subcarrier covariances with optional weights.
 ///
 /// # Panics
@@ -335,16 +337,19 @@ pub fn pool_covariances(covs: &[CMatrix], weights: Option<&[f64]>) -> CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdf_rfmath::complex::Complex64;
 
     fn synthetic_packets(n: usize) -> Vec<CsiPacket> {
-        // A LOS-dominated 3×30 scene with a weak 35° side path and a touch
-        // of deterministic per-packet variation.
-        let steering = UlaSteering::three_half_wavelength();
+        array_packets(&UlaSteering::three_half_wavelength(), n)
+    }
+
+    fn array_packets(steering: &UlaSteering, n: usize) -> Vec<CsiPacket> {
+        // A LOS-dominated 30-subcarrier scene with a weak 35° side path
+        // and a touch of deterministic per-packet variation.
+        let antennas = steering.elements();
         (0..n)
             .map(|i| {
-                let mut data = Vec::with_capacity(90);
-                for a in 0..3 {
+                let mut data = Vec::with_capacity(antennas * 30);
+                for a in 0..antennas {
                     for k in 0..30 {
                         let los = Complex64::from_polar(1.0, 0.02 * k as f64);
                         let side = steering.vector(35f64.to_radians())[a]
@@ -352,9 +357,48 @@ mod tests {
                         data.push(los + side);
                     }
                 }
-                CsiPacket::new(3, 30, data, i as u64, i as f64 * 0.02)
+                CsiPacket::new(antennas, 30, data, i as u64, i as f64 * 0.02)
             })
             .collect()
+    }
+
+    #[test]
+    fn static_covariances_match_column_oracle_bitwise() {
+        use mpdf_music::covariance::{forward_backward, sample_covariance};
+        for antennas in [3, 5] {
+            let cfg = DetectorConfig {
+                steering: UlaSteering::new(antennas, 0.5),
+                ..DetectorConfig::default()
+            };
+            let packets = array_packets(&cfg.steering, 20);
+            let profile = CalibrationProfile::build(&packets, &cfg).unwrap();
+            // The oracle runs on the packets calibration sanitizes.
+            let mut scratch = SanitizeScratch::new();
+            let sanitized: Vec<CsiPacket> = packets
+                .iter()
+                .map(|p| {
+                    let mut q = p.clone();
+                    sanitize_packet_with(&mut scratch, &mut q, cfg.band.indices());
+                    q
+                })
+                .collect();
+            for (k, got) in profile.static_covariances().iter().enumerate() {
+                let column: Vec<Vec<Complex64>> =
+                    sanitized.iter().map(|p| p.subcarrier_column(k)).collect();
+                let oracle = forward_backward(&sample_covariance(&column).unwrap());
+                assert_eq!(got.rows(), antennas);
+                for r in 0..antennas {
+                    for c in 0..antennas {
+                        let (a, b) = (got[(r, c)], oracle[(r, c)]);
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "{antennas} antennas, subcarrier {k}, entry ({r},{c})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

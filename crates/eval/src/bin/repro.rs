@@ -560,6 +560,35 @@ fn main() {
         println!("{USAGE}");
         return;
     }
+    // Observability backends, shared by every mode (stderr/artifacts only
+    // — stdout is reserved for the reports and stays byte-identical with
+    // these flags on).
+    if let Some(path) = &opts.trace {
+        match mpdf_obs::trace::NdjsonWriter::create(path) {
+            Ok(writer) => {
+                mpdf_obs::trace::install(std::sync::Arc::new(writer));
+                eprintln!("tracing spans to {}", path.display());
+            }
+            Err(e) => {
+                eprintln!("error: create trace file {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
+    if opts.metrics.is_some() {
+        mpdf_obs::metrics::enable_timing();
+    }
+    if let Some(path) = &opts.trajectory {
+        mpdf_obs::trajectory::install(opts.traj_every);
+        eprintln!(
+            "sampling metric trajectories every {} window(s) to {}",
+            opts.traj_every,
+            path.display()
+        );
+    }
+    #[cfg(feature = "alloc-profile")]
+    mpdf_obs::allocs::enable();
+
     // Stream mode replaces the experiment fan-out: record the campaign,
     // replay it through the wire codec + bounded-queue path, and verify
     // bit-identity with the offline scoring pass. Kept out of `all` so
@@ -607,9 +636,6 @@ fn main() {
             eprintln!("error: `fleet` runs alone, not alongside other experiments");
             std::process::exit(2);
         }
-        if opts.metrics.is_some() {
-            mpdf_obs::metrics::enable_timing();
-        }
         let started = std::time::Instant::now();
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
@@ -638,34 +664,6 @@ fn main() {
         eprintln!("error: unknown experiment `{unknown}`; known: {ALL_EXPERIMENTS:?} or `all`");
         std::process::exit(2);
     }
-
-    // Observability backends (stderr/artifacts only — stdout is reserved
-    // for the reports and stays byte-identical with these flags on).
-    if let Some(path) = &opts.trace {
-        match mpdf_obs::trace::NdjsonWriter::create(path) {
-            Ok(writer) => {
-                mpdf_obs::trace::install(std::sync::Arc::new(writer));
-                eprintln!("tracing spans to {}", path.display());
-            }
-            Err(e) => {
-                eprintln!("error: create trace file {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if opts.metrics.is_some() {
-        mpdf_obs::metrics::enable_timing();
-    }
-    if let Some(path) = &opts.trajectory {
-        mpdf_obs::trajectory::install(opts.traj_every);
-        eprintln!(
-            "sampling metric trajectories every {} window(s) to {}",
-            opts.traj_every,
-            path.display()
-        );
-    }
-    #[cfg(feature = "alloc-profile")]
-    mpdf_obs::allocs::enable();
 
     // Session mode replaces the experiment fan-out entirely: one
     // supervised long-running loop, windows printed in order.

@@ -8,7 +8,6 @@
 //! progression.
 
 use mpdf_core::scheme::RssiBaseline;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{LabeledScore, SchemeSummary};
 use crate::scenario::five_cases;
@@ -17,7 +16,7 @@ use crate::workload::{run_campaign, score_campaign, CampaignConfig, ScoredWindow
 use super::fig7::run_campaign_scores;
 
 /// One ablation row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Detector label.
     pub name: String,
@@ -26,7 +25,7 @@ pub struct AblationRow {
 }
 
 /// Result of the ablation study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtAblateResult {
     /// Rows from coarsest to fullest detector.
     pub rows: Vec<AblationRow>,

@@ -9,8 +9,6 @@
 //! detection and false-positive rates of the *fault-free* operating point
 //! erode, and how many windows the gap budget aborts outright.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_core::scheme::{DetectionScheme, SubcarrierWeighting};
 use mpdf_core::threshold::threshold_for_fp;
@@ -29,7 +27,7 @@ pub const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 const TARGET_FP: f64 = 0.1;
 
 /// One intensity step of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosRow {
     /// Scale factor on the `chaos` preset.
     pub intensity: f64,
@@ -47,7 +45,7 @@ pub struct ChaosRow {
 }
 
 /// Result of the chaos sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtChaosResult {
     /// Threshold frozen from the intensity-0 negative scores.
     pub threshold: f64,

@@ -8,14 +8,13 @@
 
 use mpdf_core::hmm::HmmSmoother;
 use mpdf_core::threshold::threshold_for_fp;
-use serde::{Deserialize, Serialize};
 
 use crate::workload::{CampaignConfig, ScoredWindow};
 
 use super::fig7::run_campaign_scores;
 
 /// Outcome of the HMM-smoothing ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtHmmResult {
     /// Window-level false-positive rate: raw threshold vs HMM.
     pub fp: (f64, f64),

@@ -13,8 +13,6 @@
 //!    1/6/11 (paying a 3× probing overhead per decision);
 //! 3. the paper's subcarrier weighting, fixed on channel 11, no sweep.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::fade_level::fade_level_db;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
 use mpdf_core::scheme::{Baseline, DetectionScheme, SubcarrierWeighting};
@@ -31,7 +29,7 @@ use crate::scenario::five_cases;
 use crate::workload::CampaignConfig;
 
 /// One detector's outcome plus its airtime overhead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Detector label.
     pub name: String,
@@ -42,7 +40,7 @@ pub struct SweepRow {
 }
 
 /// Result of the sweep study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExtSweepResult {
     /// Rows: fixed baseline, swept baseline, subcarrier weighting.
     pub rows: Vec<SweepRow>,

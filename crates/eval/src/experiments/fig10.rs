@@ -5,8 +5,6 @@
 //! person is never perfectly still) moderately reduces errors but heavy
 //! tails remain — the cause of path weighting's occasional losses.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_music::music::{estimate_aoa, AngleGrid, UlaSteering};
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
@@ -22,7 +20,7 @@ use crate::workload::{annotate, case_receiver, CampaignConfig};
 use super::fig5::wall_adjacent_case;
 
 /// Result of the angle-error experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// CDF of single-packet estimation errors (degrees).
     pub single_packet_cdf: Vec<(f64, f64)>,

@@ -7,8 +7,6 @@
 //! link: different subcarriers disagree (one mostly drops, another also
 //! rises), and trends flip over time.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::human::HumanBody;
@@ -23,7 +21,7 @@ use crate::workload::{case_receiver, CampaignConfig};
 use super::sweeps::{location_sweep, measurement_case};
 
 /// Result of Fig. 2a.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2aResult {
     /// CDF of Δs (dB) sampled at 41 points.
     pub cdf: Vec<(f64, f64)>,
@@ -75,7 +73,7 @@ pub fn report_fig2a(r: &Fig2aResult) -> String {
 }
 
 /// Result of Fig. 2b.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2bResult {
     /// Packet-indexed Δs series (dB) for the two showcased subcarriers
     /// (paper: f15 and f25), downsampled.

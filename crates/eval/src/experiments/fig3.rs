@@ -5,8 +5,6 @@
 //! (c) The fit at 5 separated subcarriers: the monotone falling trend
 //! holds everywhere, though coefficients vary.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_rfmath::fit::{log_fit, Fit};
 use mpdf_rfmath::stats::Ecdf;
@@ -16,7 +14,7 @@ use crate::workload::CampaignConfig;
 use super::sweeps::{location_sweep, measurement_case, LocationSample};
 
 /// Result of Fig. 3a.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3aResult {
     /// CDF of μ sampled at 41 points.
     pub cdf: Vec<(f64, f64)>,
@@ -27,7 +25,7 @@ pub struct Fig3aResult {
 }
 
 /// Result of one subcarrier's log fit (Fig. 3b/3c rows).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubcarrierFit {
     /// Subcarrier slot.
     pub slot: usize,
@@ -38,7 +36,7 @@ pub struct SubcarrierFit {
 }
 
 /// Result of the Fig. 3 experiments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Fig. 3a distribution.
     pub distribution: Fig3aResult,

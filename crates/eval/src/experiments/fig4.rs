@@ -6,8 +6,6 @@
 //! between locations — the motivation for the stability ratio `r_k`
 //! (Eq. 13/14).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
@@ -21,7 +19,7 @@ use crate::scenario::five_cases;
 use crate::workload::{case_receiver, CampaignConfig};
 
 /// Per-location stability measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocationStability {
     /// Human position.
     pub position: Point,
@@ -37,7 +35,7 @@ pub struct LocationStability {
 }
 
 /// Result of the Fig. 4 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// The two measured locations.
     pub locations: Vec<LocationStability>,

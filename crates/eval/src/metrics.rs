@@ -1,9 +1,7 @@
 //! Detection metrics: ROC curves, AUC and operating points (§V-A).
 
-use serde::{Deserialize, Serialize};
-
 /// One scored monitoring window with its ground-truth label.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabeledScore {
     /// Scheme score for the window.
     pub score: f64,
@@ -12,7 +10,7 @@ pub struct LabeledScore {
 }
 
 /// One point of a ROC curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// Decision threshold producing this point.
     pub threshold: f64,
@@ -23,7 +21,7 @@ pub struct RocPoint {
 }
 
 /// A ROC curve swept over every distinct score threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     points: Vec<RocPoint>,
 }
@@ -134,7 +132,7 @@ pub fn detection_rate(scores: &[f64], threshold: f64) -> f64 {
 
 /// Summary statistics for one scheme's campaign, reported like the
 /// paper's headline numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeSummary {
     /// Balanced-accuracy operating point.
     pub operating: RocPoint,

@@ -5,8 +5,6 @@
 //! link, plus distance rings (1–5 m from the receiver, Fig. 9) and an
 //! angle fan (−90°…90° at fixed radius, Fig. 11).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::segment::Segment;
 use mpdf_geom::shapes::Rect;
 use mpdf_geom::vec2::{Point, Vec2};
@@ -14,7 +12,7 @@ use mpdf_propagation::environment::Environment;
 use mpdf_propagation::material::Material;
 
 /// One evaluated TX–RX link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkCase {
     /// Case number (1–5, matching Fig. 8's x-axis).
     pub id: usize,

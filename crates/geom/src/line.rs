@@ -4,13 +4,11 @@
 //! line to the transmitter's mirror image across the wall plane".
 //! [`Line::mirror`] is that primitive.
 
-use serde::{Deserialize, Serialize};
-
 use crate::segment::Segment;
 use crate::vec2::{Point, Vec2};
 
 /// An infinite line through `origin` with (non-zero) direction `dir`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line {
     origin: Point,
     dir: Vec2,

@@ -5,12 +5,10 @@
 //! human-body model needs point-to-segment distance (how close is the body
 //! to a propagation path?).
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec2::{Point, Vec2};
 
 /// A directed line segment from `a` to `b`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point,

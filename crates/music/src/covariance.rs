@@ -6,7 +6,6 @@
 //! Forward–backward averaging improves conditioning for the coherent
 //! (fully correlated) signals multipath produces.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -60,206 +59,86 @@ pub fn sample_covariance(snapshots: &[Vec<Complex64>]) -> Result<CMatrix, Covari
     Ok(r)
 }
 
-/// Incremental sample covariance over a sliding snapshot window.
+/// Forward–backward covariance of every subcarrier of a CSI window: the
+/// one per-subcarrier estimator calibration and scoring share (§IV-C's
+/// linearity argument needs both sides of the comparison to run it).
 ///
-/// Consecutive overlapping monitoring windows share almost all of their
-/// snapshots, so recomputing `R = (1/N) Σ x xᴴ` from scratch wastes the
-/// previous window's work. This accumulator maintains the *unnormalized*
-/// sum with one rank-1 update per arriving snapshot
-/// ([`CMatrix::axpy_outer`]) and one rank-1 downdate per retiring one
-/// ([`CMatrix::axpy_outer_sub`]) — `O(M²)` per slide instead of
-/// `O(N·M²)` per window.
+/// `rows` holds the window packet-major: packet `n`'s antenna `a` is
+/// `rows[n·dim + a]`, one entry per subcarrier. Subcarrier `k`'s
+/// snapshots are the columns `(rows[n·dim + a][k])_a`, and its result is
+/// `forward_backward(sample_covariance(columns))` bit for bit: one pass
+/// over the packets accumulates every subcarrier's `+= u_r·conj(u_c)` in
+/// packet order, then scales each sum by `1/N` once — the identical
+/// arithmetic, without gathering each column into its own `Vec`.
 ///
-/// Floating-point cancellation from downdates drifts the accumulator
-/// away from the batch result; every [`SlidingCovariance::rebuild_every`]
-/// downdates the sum is rebuilt from the retained window, which bounds
-/// the drift and restores bitwise agreement with
-/// [`sample_covariance`]. Until the first downdate (or right after a
-/// rebuild) the update sequence is identical to the batch loop, so the
-/// results agree bitwise; in between they agree to a few ULPs (the
-/// equivalence proptests below pin both regimes).
-///
-/// Forward–backward averaging and spatial smoothing compose on top: see
-/// [`SlidingCovariance::covariance_fb`] and
-/// [`SlidingCovariance::smoothed_covariance`].
-#[derive(Debug, Clone)]
-pub struct SlidingCovariance {
+/// # Errors
+/// [`CovarianceError::NoSnapshots`] on an empty window;
+/// [`CovarianceError::RaggedSnapshots`] when `dim` is zero, `rows` is not
+/// a whole number of packets, or rows differ in length or are empty.
+pub fn per_subcarrier_fb_covariances(
     dim: usize,
-    capacity: usize,
-    rebuild_every: usize,
-    window: VecDeque<Vec<Complex64>>,
-    /// Retired snapshot buffers recycled by later pushes.
-    spare: Vec<Vec<Complex64>>,
-    /// Unnormalized `Σ x xᴴ` over the current window.
-    acc: CMatrix,
-    downdates_since_rebuild: usize,
-    /// Rank-1 updates not yet flushed to the metrics counter (batched so
-    /// the hot loop pays one atomic add per materialization, not one per
-    /// snapshot).
-    pending_updates: u64,
-}
-
-impl SlidingCovariance {
-    /// Default downdate budget between full rebuilds. 64 downdates of
-    /// unit-scale snapshots keep the accumulated drift far below the
-    /// Hermitian-contract tolerance while amortizing the rebuild to
-    /// noise.
-    pub const DEFAULT_REBUILD_EVERY: usize = 64;
-
-    /// Creates an accumulator for `dim`-element snapshots keeping the
-    /// trailing `capacity` of them, with the default rebuild cadence.
-    ///
-    /// # Panics
-    /// Panics if `dim` or `capacity` is zero.
-    pub fn new(dim: usize, capacity: usize) -> Self {
-        SlidingCovariance::with_rebuild_every(dim, capacity, Self::DEFAULT_REBUILD_EVERY)
+    rows: &[&[Complex64]],
+) -> Result<Vec<CMatrix>, CovarianceError> {
+    let _stage = mpdf_obs::stage!("music.covariance");
+    let first = rows.first().ok_or(CovarianceError::NoSnapshots)?;
+    let subcarriers = first.len();
+    if dim == 0
+        || subcarriers == 0
+        || !rows.len().is_multiple_of(dim)
+        || rows.iter().any(|r| r.len() != subcarriers)
+    {
+        return Err(CovarianceError::RaggedSnapshots);
     }
-
-    /// Creates an accumulator with an explicit rebuild cadence (a full
-    /// rebuild after every `rebuild_every` downdates).
-    ///
-    /// # Panics
-    /// Panics if `dim`, `capacity` or `rebuild_every` is zero.
-    pub fn with_rebuild_every(dim: usize, capacity: usize, rebuild_every: usize) -> Self {
-        assert!(dim > 0, "snapshot dimension must be non-zero");
-        assert!(capacity > 0, "window capacity must be non-zero");
-        assert!(rebuild_every > 0, "rebuild cadence must be non-zero");
-        SlidingCovariance {
-            dim,
-            capacity,
-            rebuild_every,
-            window: VecDeque::with_capacity(capacity),
-            spare: Vec::new(),
-            acc: CMatrix::zeros(dim, dim),
-            downdates_since_rebuild: 0,
-            pending_updates: 0,
-        }
+    let scale = 1.0 / (rows.len() / dim) as f64;
+    if dim == 3 {
+        // The paper's 3-chain array: fixed-size accumulators stay in
+        // registers across the packet loop instead of streaming a
+        // subcarriers×9 accumulator table through cache per packet.
+        return Ok((0..subcarriers)
+            .map(|k| {
+                let mut acc = [Complex64::ZERO; 9];
+                for r3 in rows.chunks_exact(3) {
+                    let u = [r3[0][k], r3[1][k], r3[2][k]];
+                    for (r, &ur) in u.iter().enumerate() {
+                        for (c, &uc) in u.iter().enumerate() {
+                            acc[r * 3 + c] += ur * uc.conj();
+                        }
+                    }
+                }
+                let mut m = CMatrix::from_rows(3, 3, &acc);
+                m.scale_in_place(scale);
+                forward_backward(&m)
+            })
+            .collect());
     }
-
-    /// Snapshot dimension `M`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Maximum retained window length.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Downdates between full rebuilds.
-    pub fn rebuild_every(&self) -> usize {
-        self.rebuild_every
-    }
-
-    /// Snapshots currently in the window.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True when no snapshots have been pushed since creation/reset.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Pushes one snapshot; once the window is full, each push also
-    /// retires the oldest snapshot with a rank-1 downdate.
-    ///
-    /// # Panics
-    /// Panics if `x.len()` differs from the accumulator dimension.
-    pub fn push(&mut self, x: &[Complex64]) {
-        assert_eq!(
-            x.len(),
-            self.dim,
-            "snapshot length must match accumulator dimension"
-        );
-        self.pending_updates += 1;
-        if self.window.len() == self.capacity {
-            if let Some(mut old) = self.window.pop_front() {
-                self.acc.axpy_outer_sub(&old, &old);
-                old.clear();
-                old.extend_from_slice(x);
-                self.acc.axpy_outer(&old, &old);
-                self.window.push_back(old);
+    // Any other aperture (the 2-chain fallback, ext-array's 4–8-element
+    // arrays): one flat accumulator per subcarrier.
+    let mut acc = vec![Complex64::ZERO; subcarriers * dim * dim];
+    let mut cols = vec![Complex64::ZERO; subcarriers * dim];
+    for packet in rows.chunks_exact(dim) {
+        // Transpose the packet to column-major once: columns become
+        // contiguous `dim`-element snapshots.
+        for (r, row) in packet.iter().enumerate() {
+            for (k, &h) in row.iter().enumerate() {
+                cols[k * dim + r] = h;
             }
-            self.downdates_since_rebuild += 1;
-            if self.downdates_since_rebuild >= self.rebuild_every {
-                self.rebuild();
+        }
+        for (a, u) in acc.chunks_exact_mut(dim * dim).zip(cols.chunks_exact(dim)) {
+            for (row, &ur) in a.chunks_exact_mut(dim).zip(u) {
+                for (slot, &uc) in row.iter_mut().zip(u) {
+                    *slot += ur * uc.conj();
+                }
             }
-        } else {
-            self.acc.axpy_outer(x, x);
-            let mut storage = self.spare.pop().unwrap_or_default();
-            storage.clear();
-            storage.extend_from_slice(x);
-            self.window.push_back(storage);
         }
     }
-
-    /// Rebuilds the unnormalized sum from the retained window in arrival
-    /// order — the identical accumulation [`sample_covariance`] runs, so
-    /// the next [`SlidingCovariance::covariance`] is bitwise batch.
-    fn rebuild(&mut self) {
-        mpdf_obs::counter!("music.cov_full_rebuilds").inc();
-        self.acc.set_zero();
-        for x in &self.window {
-            self.acc.axpy_outer(x, x);
-        }
-        self.downdates_since_rebuild = 0;
-    }
-
-    /// Empties the window and zeroes the accumulator, keeping every
-    /// allocation (window buffers are recycled by later pushes) — lets
-    /// per-subcarrier loops reuse one accumulator across subcarriers.
-    pub fn reset(&mut self) {
-        self.flush_updates();
-        self.spare.extend(self.window.drain(..));
-        self.acc.set_zero();
-        self.downdates_since_rebuild = 0;
-    }
-
-    fn flush_updates(&mut self) {
-        if self.pending_updates > 0 {
-            mpdf_obs::counter!("music.cov_incremental_updates").add(self.pending_updates);
-            self.pending_updates = 0;
-        }
-    }
-
-    /// Materializes the sample covariance `R = (1/N) Σ x xᴴ` of the
-    /// current window (takes `&mut self` to flush batched metrics).
-    ///
-    /// # Errors
-    /// [`CovarianceError::NoSnapshots`] when the window is empty.
-    pub fn covariance(&mut self) -> Result<CMatrix, CovarianceError> {
-        let _stage = mpdf_obs::stage!("music.covariance");
-        self.flush_updates();
-        if self.window.is_empty() {
-            return Err(CovarianceError::NoSnapshots);
-        }
-        let mut r = self.acc.clone();
-        r.scale_in_place(1.0 / self.window.len() as f64);
-        contract::assert_hermitian("sample covariance", &r, 1e-9 * (1.0 + r.trace().norm()));
-        Ok(r)
-    }
-
-    /// Forward–backward averaged covariance of the current window —
-    /// [`forward_backward`] composed on the incremental estimate.
-    ///
-    /// # Errors
-    /// [`CovarianceError::NoSnapshots`] when the window is empty.
-    pub fn covariance_fb(&mut self) -> Result<CMatrix, CovarianceError> {
-        Ok(forward_backward(&self.covariance()?))
-    }
-
-    /// Spatially smoothed covariance of the retained window —
-    /// [`spatially_smoothed_covariance`] composed on the snapshots the
-    /// accumulator keeps for downdating (smoothing needs per-subarray
-    /// sums, so it recomputes from the window rather than the sum).
-    ///
-    /// # Errors
-    /// Same conditions as [`spatially_smoothed_covariance`].
-    pub fn smoothed_covariance(&mut self, subarray_len: usize) -> Result<CMatrix, CovarianceError> {
-        self.flush_updates();
-        spatially_smoothed_covariance(self.window.make_contiguous(), subarray_len)
-    }
+    Ok(acc
+        .chunks_exact(dim * dim)
+        .map(|chunk| {
+            let mut r = CMatrix::from_rows(dim, dim, chunk);
+            r.scale_in_place(scale);
+            forward_backward(&r)
+        })
+        .collect())
 }
 
 /// Forward–backward averaging: `R_fb = (R + J·R*·J)/2` with `J` the
@@ -423,167 +302,49 @@ mod tests {
         );
     }
 
-    /// Deterministic snapshot stream used by the sliding-window tests.
-    fn stream(n: usize) -> Vec<Vec<Complex64>> {
-        (0..n)
-            .map(|i| {
-                let t = i as f64 * 0.61;
-                vec![
-                    Complex64::cis(t),
-                    Complex64::cis(1.9 * t) * 0.7,
-                    c(t.sin() * 0.4, t.cos()),
-                ]
-            })
+    /// A packet-major window of `packets × dim` antenna rows with
+    /// `subcarriers` entries each, drawn from a splitmix64 stream.
+    fn window(dim: usize, packets: usize, subcarriers: usize, seed: u64) -> Vec<Vec<Complex64>> {
+        let mut state = seed;
+        let mut draw = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0
+        };
+        (0..packets * dim)
+            .map(|_| (0..subcarriers).map(|_| c(draw(), draw())).collect())
             .collect()
     }
 
-    fn assert_bitwise_eq(a: &CMatrix, b: &CMatrix, what: &str) {
-        for r in 0..a.rows() {
-            for col in 0..a.cols() {
-                assert_eq!(
-                    a[(r, col)].re.to_bits(),
-                    b[(r, col)].re.to_bits(),
-                    "{what}: re mismatch at ({r},{col})"
-                );
-                assert_eq!(
-                    a[(r, col)].im.to_bits(),
-                    b[(r, col)].im.to_bits(),
-                    "{what}: im mismatch at ({r},{col})"
-                );
-            }
-        }
+    fn bitwise_eq(a: &CMatrix, b: &CMatrix) -> bool {
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && (0..a.rows()).all(|r| {
+                (0..a.cols()).all(|col| {
+                    let (x, y) = (a[(r, col)], b[(r, col)]);
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+                })
+            })
     }
 
     #[test]
-    fn sliding_is_bitwise_batch_before_first_downdate() {
-        // Filling a fresh (or reset) accumulator runs the identical
-        // zeros → axpy_outer → scale sequence as the batch estimator.
-        let snaps = stream(25);
-        let mut sliding = SlidingCovariance::new(3, 25);
-        for x in &snaps {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&snaps).unwrap();
-        assert_bitwise_eq(&incr, &batch, "pre-downdate sliding vs batch");
-
-        // reset() restores the bitwise-batch regime.
-        sliding.reset();
-        for x in &snaps[5..20] {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&snaps[5..20]).unwrap();
-        assert_bitwise_eq(&incr, &batch, "post-reset sliding vs batch");
-    }
-
-    #[test]
-    fn sliding_tracks_trailing_window_through_downdates() {
-        let snaps = stream(80);
-        let cap = 12;
-        let mut sliding = SlidingCovariance::new(3, cap);
-        for (i, x) in snaps.iter().enumerate() {
-            sliding.push(x);
-            let start = (i + 1).saturating_sub(cap);
-            let batch = sample_covariance(&snaps[start..=i]).unwrap();
-            let incr = sliding.covariance().unwrap();
-            let err = (&incr - &batch).frobenius_norm();
-            let tol = 1e-12 * (1.0 + batch.frobenius_norm());
-            assert!(err <= tol, "after push {i}: drift {err} > {tol}");
-        }
-        assert_eq!(sliding.len(), cap);
-    }
-
-    #[test]
-    fn forced_rebuild_restores_bitwise_batch_at_the_boundary() {
-        let snaps = stream(40);
-        let cap = 8;
-        let every = 5;
-        let mut sliding = SlidingCovariance::with_rebuild_every(3, cap, every);
-        for (i, x) in snaps.iter().enumerate() {
-            sliding.push(x);
-            let downdates = (i + 1).saturating_sub(cap);
-            if downdates > 0 && downdates % every == 0 {
-                // A rebuild just ran: the accumulator re-summed the
-                // retained window in arrival order, exactly the batch
-                // loop, so agreement is bitwise — not merely close.
-                let batch = sample_covariance(&snaps[i + 1 - cap..=i]).unwrap();
-                let incr = sliding.covariance().unwrap();
-                assert_bitwise_eq(&incr, &batch, "post-rebuild sliding vs batch");
-            }
-        }
-    }
-
-    #[test]
-    fn downdates_remove_retired_snapshots_entirely() {
-        // Push a burst of large "stale" snapshots, then slide fully past
-        // them: the result must match a batch estimate that never saw
-        // the burst (to rebuild-bounded precision).
-        let mut stale = stream(10);
-        for x in &mut stale {
-            for z in x.iter_mut() {
-                *z *= 50.0;
-            }
-        }
-        let fresh = stream(6);
-        let mut sliding = SlidingCovariance::new(3, 6);
-        for x in stale.iter().chain(&fresh) {
-            sliding.push(x);
-        }
-        let incr = sliding.covariance().unwrap();
-        let batch = sample_covariance(&fresh).unwrap();
-        let err = (&incr - &batch).frobenius_norm();
-        // The downdated burst was 50× the surviving snapshots, so the
-        // tolerance scales with the cancelled magnitude (2500× power),
-        // still far below anything detection-relevant.
-        let tol = 1e-10 * (1.0 + batch.frobenius_norm());
-        assert!(err <= tol, "stale burst left drift {err} > {tol}");
-    }
-
-    #[test]
-    fn sliding_fb_and_smoothing_compose_on_the_window() {
-        let snaps = stream(30);
-        let cap = 16;
-        let mut sliding = SlidingCovariance::new(3, cap);
-        for x in &snaps {
-            sliding.push(x);
-        }
-        let trailing = &snaps[snaps.len() - cap..];
-        let fb_incr = sliding.covariance_fb().unwrap();
-        let fb_batch = forward_backward(&sample_covariance(trailing).unwrap());
-        assert!(
-            (&fb_incr - &fb_batch).frobenius_norm() <= 1e-12 * (1.0 + fb_batch.frobenius_norm())
+    fn per_subcarrier_kernel_rejects_bad_shapes() {
+        let data = window(3, 2, 4, 7);
+        let rows: Vec<&[Complex64]> = data.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            per_subcarrier_fb_covariances(3, &[]),
+            Err(CovarianceError::NoSnapshots)
         );
-
-        let sm_incr = sliding.smoothed_covariance(2).unwrap();
-        let sm_batch = spatially_smoothed_covariance(trailing, 2).unwrap();
-        // Smoothing recomputes from the retained window: bitwise.
-        assert_bitwise_eq(&sm_incr, &sm_batch, "sliding smoothing vs batch");
-    }
-
-    #[test]
-    fn sliding_empty_window_errors_and_counters_move() {
-        let mut sliding = SlidingCovariance::new(2, 4);
-        assert!(sliding.is_empty());
-        assert_eq!(sliding.covariance(), Err(CovarianceError::NoSnapshots));
-
-        let updates = mpdf_obs::metrics::counter("music.cov_incremental_updates");
-        let rebuilds = mpdf_obs::metrics::counter("music.cov_full_rebuilds");
-        let (u0, r0) = (updates.get(), rebuilds.get());
-        let mut forced = SlidingCovariance::with_rebuild_every(2, 2, 1);
-        let snaps = [
-            vec![c(1.0, 0.0), c(0.0, 1.0)],
-            vec![c(0.5, 0.5), c(1.0, 0.0)],
-            vec![c(0.0, -1.0), c(0.25, 0.0)],
-        ];
-        for x in &snaps {
-            forced.push(x);
-        }
-        let _ = forced.covariance().unwrap();
-        // Other tests share the process-global counters, so assert
-        // monotone floors rather than exact deltas.
-        assert!(updates.get() - u0 >= 3, "one update per push");
-        assert!(rebuilds.get() - r0 >= 1, "third push downdates → rebuild");
+        let ragged = Err(CovarianceError::RaggedSnapshots);
+        // Not a whole number of packets, a zero aperture, a short row.
+        assert_eq!(per_subcarrier_fb_covariances(3, &rows[..5]), ragged);
+        assert_eq!(per_subcarrier_fb_covariances(0, &rows), ragged);
+        let mut short = rows.clone();
+        short[1] = &short[1][..3];
+        assert_eq!(per_subcarrier_fb_covariances(3, &short), ragged);
     }
 
     mod properties {
@@ -649,91 +410,29 @@ mod tests {
                 }
             }
 
-            /// ULP-pinned equivalence of the sliding accumulator against
-            /// batch [`sample_covariance`] of the trailing window, at
-            /// every stream position: before the window fills, across
-            /// downdates of arbitrary retired snapshots, and through
-            /// forced-rebuild boundaries.
+            /// The per-subcarrier kernel is the pooled estimator run on
+            /// each subcarrier's column: bitwise, on both the 3×3
+            /// register path and the generic path every other aperture
+            /// takes.
             #[test]
-            fn sliding_matches_batch_at_every_position(
-                parts in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 30..=90),
-                cap in 2usize..8,
-                every in 1usize..6,
+            fn per_subcarrier_kernel_matches_column_oracle_bitwise(
+                dim in 1usize..=8,
+                packets in 1usize..=40,
+                subcarriers in 1usize..=56,
+                seed in 0u64..u64::MAX,
             ) {
-                let snaps: Vec<Vec<Complex64>> = parts
-                    .chunks_exact(3)
-                    .map(|chunk| {
-                        chunk
-                            .iter()
-                            .map(|&(re, im)| Complex64::new(re, im))
-                            .collect()
-                    })
-                    .collect();
-                let mut sliding = SlidingCovariance::with_rebuild_every(3, cap, every);
-                for (i, x) in snaps.iter().enumerate() {
-                    sliding.push(x);
-                    let start = (i + 1).saturating_sub(cap);
-                    let batch = sample_covariance(&snaps[start..=i]).unwrap();
-                    let incr = sliding.covariance().unwrap();
-                    let err = (&incr - &batch).frobenius_norm();
-                    let tol = 1e-12 * (1.0 + batch.frobenius_norm());
-                    prop_assert!(
-                        err <= tol,
-                        "push {i} (cap {cap}, rebuild_every {every}): drift {err} > {tol}"
-                    );
-                    let downdates = (i + 1).saturating_sub(cap);
-                    if downdates == 0 || (downdates % every == 0) {
-                        // Bitwise regimes: before any downdate, and
-                        // immediately after a forced rebuild.
-                        for r in 0..3 {
-                            for c in 0..3 {
-                                prop_assert_eq!(
-                                    incr[(r, c)].re.to_bits(),
-                                    batch[(r, c)].re.to_bits()
-                                );
-                                prop_assert_eq!(
-                                    incr[(r, c)].im.to_bits(),
-                                    batch[(r, c)].im.to_bits()
-                                );
-                            }
-                        }
-                    }
+                let data = window(dim, packets, subcarriers, seed);
+                let rows: Vec<&[Complex64]> = data.iter().map(Vec::as_slice).collect();
+                let fast = per_subcarrier_fb_covariances(dim, &rows).unwrap();
+                prop_assert_eq!(fast.len(), subcarriers);
+                for (k, got) in fast.iter().enumerate() {
+                    let column: Vec<Vec<Complex64>> = data
+                        .chunks_exact(dim)
+                        .map(|packet| packet.iter().map(|row| row[k]).collect())
+                        .collect();
+                    let oracle = forward_backward(&sample_covariance(&column).unwrap());
+                    prop_assert!(bitwise_eq(got, &oracle), "subcarrier {k} of dim {dim}");
                 }
-            }
-
-            /// Downdating fully past the window erases retired snapshots:
-            /// a stream prefix the window has slid past cannot influence
-            /// the estimate beyond rebuild-bounded drift.
-            #[test]
-            fn downdate_past_window_forgets_the_prefix(
-                prefix in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 6..=24),
-                suffix in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 9..=15),
-            ) {
-                let to_snaps = |parts: &[(f64, f64)]| -> Vec<Vec<Complex64>> {
-                    parts
-                        .chunks_exact(3)
-                        .map(|chunk| {
-                            chunk
-                                .iter()
-                                .map(|&(re, im)| Complex64::new(re, im))
-                                .collect()
-                        })
-                        .collect()
-                };
-                let prefix = to_snaps(&prefix);
-                let suffix = to_snaps(&suffix);
-                let cap = suffix.len();
-                let mut sliding = SlidingCovariance::new(3, cap);
-                for x in prefix.iter().chain(&suffix) {
-                    sliding.push(x);
-                }
-                let incr = sliding.covariance().unwrap();
-                let batch = sample_covariance(&suffix).unwrap();
-                let err = (&incr - &batch).frobenius_norm();
-                // Tolerance scales with the magnitude of what was
-                // cancelled (prefix power ≤ 50 per snapshot entry pair).
-                let tol = 1e-11 * (1.0 + batch.frobenius_norm());
-                prop_assert!(err <= tol, "prefix leaked: drift {err} > {tol}");
             }
         }
     }

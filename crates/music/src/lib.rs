@@ -1,7 +1,8 @@
 //! # mpdf-music — angle-of-arrival estimation
 //!
 //! The spatial-diversity substrate of the paper (§IV-B): sample covariance
-//! estimation with forward–backward averaging and spatial smoothing
+//! estimation with forward–backward averaging and spatial smoothing, plus
+//! the per-subcarrier kernel detection runs on CSI windows
 //! ([`covariance`]), and the MUSIC pseudospectrum with peak extraction
 //! ([`music`]).
 //!
@@ -36,7 +37,10 @@
 pub mod covariance;
 pub mod music;
 
-pub use covariance::{forward_backward, sample_covariance, spatially_smoothed_covariance};
+pub use covariance::{
+    forward_backward, per_subcarrier_fb_covariances, sample_covariance,
+    spatially_smoothed_covariance,
+};
 pub use music::{
     estimate_aoa, pseudospectrum, AngleGrid, MusicError, Pseudospectrum, SteeringTable, UlaSteering,
 };

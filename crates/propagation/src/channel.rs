@@ -16,8 +16,6 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_rfmath::complex::Complex64;
 
@@ -28,19 +26,17 @@ use crate::pathloss::{PathLossModel, SPEED_OF_LIGHT};
 use crate::tracer::{trace, TraceConfig, TraceError};
 
 /// A TX–RX link inside an environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelModel {
     env: Environment,
     tx: Point,
     rx: Point,
     pathloss: PathLossModel,
-    #[serde(skip, default = "default_trace_config")]
     trace_cfg: TraceConfig,
     /// Environment paths, traced once — humans only modulate them.
     /// Shared via the process-wide trace cache: geometry never changes
     /// within a campaign, so every link with the same (environment, TX,
     /// RX, trace config) reuses one immutable traced path set.
-    #[serde(skip)]
     static_paths: Arc<Vec<PropagationPath>>,
 }
 
@@ -110,13 +106,6 @@ fn traced_paths_cached(
         paths: Arc::clone(&paths),
     });
     Ok(paths)
-}
-
-// Referenced from the `#[serde(default = "...")]` attribute above, which
-// the vendored serde stand-in parses but does not yet expand into code.
-#[allow(dead_code)]
-fn default_trace_config() -> TraceConfig {
-    TraceConfig::default()
 }
 
 impl ChannelModel {
@@ -273,7 +262,7 @@ pub struct Modulation {
 }
 
 /// A frozen path set with CFR evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSnapshot {
     paths: Vec<PropagationPath>,
     pathloss: PathLossModel,

@@ -7,15 +7,13 @@
 //! travel phase `e^{-j2πf·d/c}` — exactly the `a_i e^{-jθ_i}` terms of the
 //! paper's CIR (Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_rfmath::complex::Complex64;
 
 use crate::pathloss::{PathLossModel, SPEED_OF_LIGHT};
 
 /// What created a path — used by experiments to split LOS/NLOS behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
     /// The direct transmitter→receiver path.
     LineOfSight,
@@ -36,7 +34,7 @@ impl PathKind {
 }
 
 /// A traced propagation path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropagationPath {
     vertices: Vec<Point>,
     amplitude_factor: f64,

@@ -7,8 +7,6 @@
 //! person (implemented as a deterministic Lissajous wobble so experiments
 //! stay reproducible without threading RNGs through the physics layer).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_geom::vec2::{Point, Vec2};
 
 /// A position as a function of time (seconds).
@@ -23,7 +21,7 @@ pub trait Trajectory {
 }
 
 /// Straight-line walk from `start` to `end` over `duration` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearWalk {
     /// Start position.
     pub start: Point,
@@ -71,7 +69,7 @@ impl Trajectory for LinearWalk {
 }
 
 /// Piecewise-linear walk through timestamped waypoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaypointWalk {
     waypoints: Vec<(f64, Point)>,
 }
@@ -121,7 +119,7 @@ impl Trajectory for WaypointWalk {
 /// Sway is a deterministic two-frequency Lissajous figure: bounded by
 /// `amplitude`, non-periodic-looking over experiment windows, and fully
 /// reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticSway {
     /// Anchor position.
     pub anchor: Point,

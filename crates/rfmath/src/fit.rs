@@ -9,8 +9,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::mean;
 
 /// Error returned by the fitting routines.
@@ -34,7 +32,7 @@ impl fmt::Display for FitError {
 impl Error for FitError {}
 
 /// A fitted model `y = slope·g(x) + intercept` with its R².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fit {
     /// Slope coefficient `a`.
     pub slope: f64,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::Complex64;
 
 /// A dense, row-major complex matrix.
@@ -22,7 +20,7 @@ use crate::complex::Complex64;
 /// let a = CMatrix::from_fn(3, 3, |r, c| Complex64::new((r + c) as f64, 0.0));
 /// assert_eq!(&eye * &a, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
@@ -286,37 +284,11 @@ impl CMatrix {
         }
     }
 
-    /// Subtracts the outer product `u·vᴴ` in place — the downdate
-    /// sibling of [`CMatrix::axpy_outer`], used by sliding-window
-    /// covariance maintenance to retire the oldest snapshot.
-    ///
-    /// # Panics
-    /// Panics if `u.len() != rows` or `v.len() != cols`.
-    pub fn axpy_outer_sub(&mut self, u: &[Complex64], v: &[Complex64]) {
-        assert_eq!(u.len(), self.rows, "outer-update row length mismatch");
-        assert_eq!(v.len(), self.cols, "outer-update column length mismatch");
-        let mut idx = 0;
-        for &ur in u {
-            for &vc in v {
-                self.data[idx] -= ur * vc.conj();
-                idx += 1;
-            }
-        }
-    }
-
     /// Multiplies every entry by a real scalar in place (the
     /// non-allocating sibling of [`CMatrix::scale`]).
     pub fn scale_in_place(&mut self, k: f64) {
         for z in &mut self.data {
             *z = z.scale(k);
-        }
-    }
-
-    /// Resets every entry to zero, keeping the allocation — lets hot
-    /// loops reuse one accumulator matrix across iterations.
-    pub fn set_zero(&mut self) {
-        for z in &mut self.data {
-            *z = Complex64::ZERO;
         }
     }
 
@@ -572,25 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_outer_sub_reverses_axpy_outer() {
-        // Dyadic components keep every product and sum exactly
-        // representable, so update followed by downdate of the same pair
-        // restores the base bitwise (both apply the identical ±ur·vc̄).
-        let u = [c(1.0, 0.5), c(0.0, 2.0), c(-0.75, 0.25)];
-        let v = [c(2.0, -0.5), c(0.5, 1.0), c(0.0, -1.0)];
-        let base = CMatrix::from_fn(3, 3, |r, cc| c(r as f64 - 0.25, cc as f64 + 0.5));
-        let mut acc = base.clone();
-        acc.axpy_outer(&u, &v);
-        acc.axpy_outer_sub(&u, &v);
-        for r in 0..3 {
-            for cc in 0..3 {
-                assert_eq!(acc[(r, cc)].re.to_bits(), base[(r, cc)].re.to_bits());
-                assert_eq!(acc[(r, cc)].im.to_bits(), base[(r, cc)].im.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn add_in_place_matches_operator_add() {
         let a = CMatrix::from_fn(2, 3, |r, cc| c(r as f64 + 0.5, cc as f64 - 1.0));
         let b = CMatrix::from_fn(2, 3, |r, cc| c(cc as f64 * 0.3, r as f64 * -0.7));
@@ -606,13 +559,6 @@ mod tests {
         let mut acc = a.clone();
         acc.axpy(0.37, &b);
         assert_eq!(acc, &a + &b.scale(0.37));
-    }
-
-    #[test]
-    fn set_zero_clears_all_entries() {
-        let mut a = CMatrix::from_fn(2, 2, |r, cc| c(r as f64 + 1.0, cc as f64 + 1.0));
-        a.set_zero();
-        assert_eq!(a, CMatrix::zeros(2, 2));
     }
 
     #[test]

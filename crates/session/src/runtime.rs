@@ -27,8 +27,6 @@
 //! Everything is deterministic and clock-free, so a session restored
 //! from a [`crate::checkpoint`] continues bit-identically.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::detector::{Decision, Detector};
 use mpdf_core::error::DetectError;
 use mpdf_core::hmm::HmmSmoother;
@@ -41,7 +39,7 @@ use crate::checkpoint::SessionDelta;
 use crate::sentinel::{DriftSentinel, DriftState, SentinelConfig, SentinelSnapshot};
 
 /// Staged-recalibration policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecalPolicy {
     /// Master switch. Off by default: adaptation is opt-in, and a runtime
     /// with recalibration disabled is arithmetically identical to a bare
@@ -77,7 +75,7 @@ impl Default for RecalPolicy {
 }
 
 /// Session-level configuration wrapped around a detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Pinned false-positive target; both the initial threshold and every
     /// recalibrated threshold are derived at this operating point.
@@ -161,7 +159,7 @@ impl SessionConfig {
 }
 
 /// Supervision mode of the session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionMode {
     /// Adapting normally.
     Normal,

@@ -29,13 +29,11 @@
 //! indistinguishable from occupancy without out-of-band vacancy
 //! knowledge (see DESIGN.md §11).
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_core::error::DetectError;
 use mpdf_rfmath::stats::{mean, std_dev};
 
 /// Link-drift classification emitted by the sentinel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftState {
     /// Null statistics match the calibration baseline.
     Stable,
@@ -67,7 +65,7 @@ impl DriftState {
 }
 
 /// Sentinel tuning knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SentinelConfig {
     /// EWMA weight of each new gated window (`0 < alpha <= 1`).
     pub alpha: f64,
@@ -132,7 +130,7 @@ impl SentinelConfig {
 }
 
 /// Complete dynamic state of a sentinel, as stored in checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentinelSnapshot {
     /// Calibration-time mean of the null log-scores.
     pub baseline_mean: f64,

@@ -9,8 +9,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of subcarriers the Intel 5300 CSI tool reports per antenna pair.
 pub const NUM_SUBCARRIERS: usize = 30;
 
@@ -74,7 +72,7 @@ impl Error for BandError {}
 
 /// A WiFi band configuration: centre frequency plus the reported
 /// subcarrier grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Band {
     center_hz: f64,
     indices: Vec<i32>,

@@ -5,13 +5,11 @@
 //! sequence number and timestamp. Helpers convert to the amplitude/power
 //! features the detection schemes consume.
 
-use serde::{Deserialize, Serialize};
-
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::db::power_to_db;
 
 /// CSI for one received packet: `antennas × subcarriers` complex samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsiPacket {
     antennas: usize,
     subcarriers: usize,
@@ -114,15 +112,6 @@ impl CsiPacket {
         (0..self.antennas)
             .map(|a| self.get(a, subcarrier))
             .collect()
-    }
-
-    /// Writes the subcarrier column into a caller-provided buffer
-    /// (cleared and refilled) — the allocation-free sibling of
-    /// [`CsiPacket::subcarrier_column`] for per-window covariance loops.
-    pub fn subcarrier_column_into(&self, subcarrier: usize, out: &mut Vec<Complex64>) {
-        assert!(subcarrier < self.subcarriers, "subcarrier out of range");
-        out.clear();
-        out.extend((0..self.antennas).map(|a| self.data[a * self.subcarriers + subcarrier]));
     }
 
     /// Subcarrier power `|H|²` for one antenna.

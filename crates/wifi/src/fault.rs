@@ -19,7 +19,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mpdf_rfmath::complex::Complex64;
 
@@ -34,7 +33,7 @@ pub const PRESET_NAMES: [&str; 6] = ["none", "loss", "dropout", "agc", "glitch",
 
 /// Fault-injection configuration. All probabilities are per packet slot;
 /// `FaultModel::none()` (the default) disables everything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Probability that a packet-loss burst starts at this slot.
     pub loss_burst_prob: f64,

@@ -12,7 +12,6 @@
 //! MUSIC remains possible.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mpdf_rfmath::complex::Complex64;
 use mpdf_rfmath::db::db_to_amplitude;
@@ -20,7 +19,7 @@ use mpdf_rfmath::db::db_to_amplitude;
 use crate::csi::CsiPacket;
 
 /// Impairment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpairmentModel {
     /// Per-subcarrier SNR in dB (signal power / noise power).
     pub snr_db: f64,

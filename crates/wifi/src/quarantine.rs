@@ -17,12 +17,10 @@
 //! zero (dead RF chain), or has more than `max_saturated_frac` of its
 //! samples pinned at the AGC rail.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csi::CsiPacket;
 
 /// Quarantine thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuarantinePolicy {
     /// AGC rail amplitude in normalized CSI units; samples at or above
     /// it count as saturated. `f64::INFINITY` (the default) disables

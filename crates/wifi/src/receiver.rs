@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use mpdf_propagation::channel::{CfrTable, ChannelModel, Modulation};
 use mpdf_propagation::human::HumanBody;
@@ -28,7 +27,7 @@ use crate::impairments::ImpairmentModel;
 pub const DEFAULT_PACKET_RATE_HZ: f64 = 50.0;
 
 /// Receiver configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReceiverConfig {
     /// Band plan (default: channel 11 with the Intel 5300 grid).
     pub band: Band,
