@@ -17,7 +17,7 @@ use mpdf_bench::{bench_fixture, bench_link};
 static COUNTING_ALLOC: mpdf_obs::allocs::CountingAllocator = mpdf_obs::allocs::CountingAllocator;
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
+    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
 use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_fleet::{Fleet, FleetPolicy, LinkWindow};
@@ -130,7 +130,13 @@ fn bench_detection(c: &mut Criterion) {
             black_box(pseudospectrum(&fb, &steering, 2, &grid).unwrap())
         });
     });
-    // The three per-window decisions — the §V-B4 latency story.
+    // Quarantine + phase sanitize of one window: paid once per window
+    // however many schemes score it.
+    g.bench_function("prepare_window_25pkt", |b| {
+        b.iter(|| black_box(PreparedWindow::new(&profile, black_box(&window), &config).unwrap()));
+    });
+    // The three per-window decisions — the §V-B4 latency story. Each
+    // prepares its window from scratch, as a one-scheme caller does.
     g.bench_function("score_baseline_25pkt", |b| {
         b.iter(|| black_box(Baseline.score(&profile, &window, &config).unwrap()));
     });

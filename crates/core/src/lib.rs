@@ -54,6 +54,7 @@ pub use multipath_factor::multipath_factors;
 pub use path_weight::PathWeights;
 pub use profile::{CalibrationProfile, DetectorConfig};
 pub use scheme::{
-    Baseline, DetectionScheme, RssiBaseline, SubcarrierAndPathWeighting, SubcarrierWeighting,
+    Baseline, DetectionScheme, PreparedWindow, RssiBaseline, SubcarrierAndPathWeighting,
+    SubcarrierWeighting, PAPER_SCHEMES,
 };
 pub use subcarrier_weight::SubcarrierWeights;

@@ -9,6 +9,11 @@
 //!
 //! Every scheme maps a monitoring window of packets to a scalar score;
 //! larger scores mean "more different from the calibration profile".
+//! All schemes score a [`PreparedWindow`]: the quarantine and phase-
+//! sanitization pass, and the subcarrier weights, are paid once per
+//! window however many schemes score it.
+
+use std::cell::OnceCell;
 
 use mpdf_music::music::bartlett_spectrum;
 use mpdf_wifi::csi::CsiPacket;
@@ -21,29 +26,47 @@ use crate::profile::{
 };
 use crate::subcarrier_weight::SubcarrierWeights;
 
-/// A detection scheme: window of packets → anomaly score.
+/// A detection scheme: prepared window → anomaly score.
 ///
 /// Implementations must be deterministic; randomness lives in the
-/// measurement layer.
+/// measurement layer. A scheme only implements [`name`] and
+/// [`score_prepared`]; callers scoring one window under several schemes
+/// build one [`PreparedWindow`] and hand it to each.
+///
+/// [`name`]: DetectionScheme::name
+/// [`score_prepared`]: DetectionScheme::score_prepared
 pub trait DetectionScheme {
     /// Short scheme label used in reports.
     fn name(&self) -> &'static str;
 
-    /// Scores a monitoring window against the profile and reports the
-    /// window's fault-health. Higher score = more evidence of human
-    /// presence.
+    /// Scores a prepared window against its profile. Higher score = more
+    /// evidence of human presence.
     ///
     /// # Errors
-    /// [`DetectError`] on empty windows, shape mismatches, angle-
-    /// estimation failures, or windows degraded beyond the gap budget.
+    /// [`DetectError`] on angle-estimation failures or windows degraded
+    /// beyond what the scheme absorbs.
+    fn score_prepared(&self, window: &PreparedWindow<'_>) -> Result<f64, DetectError>;
+
+    /// Prepares and scores a monitoring window, returning the window's
+    /// fault-health alongside the score.
+    ///
+    /// # Errors
+    /// [`DetectError`] on empty windows, shape mismatches, windows
+    /// degraded beyond the gap budget, or any
+    /// [`DetectionScheme::score_prepared`] error.
     fn score_with_health(
         &self,
         profile: &CalibrationProfile,
         window: &[CsiPacket],
         config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError>;
+    ) -> Result<(f64, WindowHealth), DetectError> {
+        let prepared = PreparedWindow::new(profile, window, config)?;
+        let score = self.score_prepared(&prepared)?;
+        Ok((score, prepared.health))
+    }
 
-    /// Scores a monitoring window, discarding the health report.
+    /// Prepares and scores a monitoring window, discarding the health
+    /// report.
     ///
     /// # Errors
     /// Same as [`DetectionScheme::score_with_health`].
@@ -53,99 +76,79 @@ pub trait DetectionScheme {
         window: &[CsiPacket],
         config: &DetectorConfig,
     ) -> Result<f64, DetectError> {
-        self.score_with_health(profile, window, config)
-            .map(|(s, _)| s)
+        self.score_prepared(&PreparedWindow::new(profile, window, config)?)
     }
 }
 
-/// One memoized quarantine-and-sanitize result (see [`sanitized_window`]).
-///
-/// The key is the *entire input by value*: raw window content compared
-/// bitwise plus every configuration field the pass reads (profile shape,
-/// quarantine policy, gap budget, OFDM indices). A hit therefore returns
-/// exactly what recomputation would produce — the memo cannot perturb
-/// byte-identity, only skip redundant work.
-struct SanitizeMemo {
-    shape: (usize, usize),
-    gap_budget: usize,
-    policy: mpdf_wifi::quarantine::QuarantinePolicy,
-    indices: Vec<i32>,
-    raw: Vec<CsiPacket>,
-    sanitized: Vec<CsiPacket>,
+/// One monitoring window made ready for scoring: quarantined and
+/// validated (see [`assess_window`]), phase-sanitized (the paper's
+/// \[26\]), with its health report and — computed on first use, then
+/// shared by every scheme scoring the window — the clip-renormalized
+/// Eq. 12–15 subcarrier weights.
+#[derive(Debug)]
+pub struct PreparedWindow<'a> {
+    profile: &'a CalibrationProfile,
+    config: &'a DetectorConfig,
+    packets: Vec<CsiPacket>,
     health: WindowHealth,
+    weights: OnceCell<Vec<f64>>,
 }
 
-impl SanitizeMemo {
-    fn matches(
-        &self,
-        profile: &CalibrationProfile,
+impl<'a> PreparedWindow<'a> {
+    /// Quarantines, validates and sanitizes `window` for scoring against
+    /// `profile`.
+    ///
+    /// # Errors
+    /// Same as [`assess_window`].
+    pub fn new(
+        profile: &'a CalibrationProfile,
         window: &[CsiPacket],
-        config: &DetectorConfig,
-        indices: &[i32],
-    ) -> bool {
-        self.shape == (profile.antennas(), profile.subcarriers())
-            && self.gap_budget == config.gap_budget
-            && self.policy.saturation_amp.to_bits() == config.quarantine.saturation_amp.to_bits()
-            && self.policy.max_saturated_frac.to_bits()
-                == config.quarantine.max_saturated_frac.to_bits()
-            && self.policy.min_usable_antennas == config.quarantine.min_usable_antennas
-            && self.indices == indices
-            && self.raw.len() == window.len()
-            && self.raw.iter().zip(window).all(|(a, b)| a.bits_eq(b))
-    }
-}
-
-thread_local! {
-    /// Last sanitized window per thread. Every scheme scores through the
-    /// same quarantine + phase-sanitization pass, so a campaign scoring a
-    /// window under several schemes back-to-back repays the full pass
-    /// once and replays it for the rest (a content-bitwise hit costs a
-    /// 36 KB compare + clone instead of ~750 `atan2`/`cis` evaluations).
-    static SANITIZED_MEMO: std::cell::RefCell<Option<SanitizeMemo>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Quarantines and validates a window (see [`assess_window`]), then
-/// returns sanitized copies of the survivors plus the health report.
-/// Results are memoized per thread keyed on the full input content.
-fn sanitized_window(
-    profile: &CalibrationProfile,
-    window: &[CsiPacket],
-    config: &DetectorConfig,
-) -> Result<(Vec<CsiPacket>, WindowHealth), DetectError> {
-    let indices = config.band.indices();
-    let hit = SANITIZED_MEMO.with(|memo| {
-        memo.borrow().as_ref().and_then(|m| {
-            m.matches(profile, window, config, indices)
-                .then(|| (m.sanitized.clone(), m.health.clone()))
+        config: &'a DetectorConfig,
+    ) -> Result<Self, DetectError> {
+        let _stage = mpdf_obs::stage!("core.sanitize");
+        let (mut packets, health) = assess_window(profile, window, config)?;
+        let mut scratch = SanitizeScratch::new();
+        for p in &mut packets {
+            sanitize_packet_with(&mut scratch, p, config.band.indices());
+        }
+        Ok(PreparedWindow {
+            profile,
+            config,
+            packets,
+            health,
+            weights: OnceCell::new(),
         })
-    });
-    if let Some(cached) = hit {
-        mpdf_obs::counter!("core.sanitize_memo.hits").inc();
-        return Ok(cached);
     }
-    mpdf_obs::counter!("core.sanitize_memo.misses").inc();
-    let (kept, health) = assess_window(profile, window, config)?;
-    let mut scratch = SanitizeScratch::new();
-    let sanitized: Vec<CsiPacket> = kept
-        .into_iter()
-        .map(|mut q| {
-            sanitize_packet_with(&mut scratch, &mut q, indices);
-            q
+
+    /// The calibration profile the window is scored against.
+    pub fn profile(&self) -> &'a CalibrationProfile {
+        self.profile
+    }
+
+    /// The detector configuration the window was prepared under.
+    pub fn config(&self) -> &'a DetectorConfig {
+        self.config
+    }
+
+    /// The surviving packets, sanitized and reduced to the usable
+    /// antennas (row `r` is physical chain `health().usable_antennas[r]`).
+    pub fn packets(&self) -> &[CsiPacket] {
+        &self.packets
+    }
+
+    /// The window's fault-health report.
+    pub fn health(&self) -> &WindowHealth {
+        &self.health
+    }
+
+    /// Effective Eq. 12–15 subcarrier weights: untouched on a clean
+    /// window, clip-renormalized on a degraded one. Computed once.
+    pub fn weights(&self) -> &[f64] {
+        self.weights.get_or_init(|| {
+            let w = SubcarrierWeights::from_packets(&self.packets, &self.config.band.frequencies());
+            effective_weights(w, &self.health)
         })
-        .collect();
-    SANITIZED_MEMO.with(|memo| {
-        *memo.borrow_mut() = Some(SanitizeMemo {
-            shape: (profile.antennas(), profile.subcarriers()),
-            gap_budget: config.gap_budget,
-            policy: config.quarantine,
-            indices: indices.to_vec(),
-            raw: window.to_vec(),
-            sanitized: sanitized.clone(),
-            health: health.clone(),
-        });
-    });
-    Ok((sanitized, health))
+    }
 }
 
 /// Zeroes the weights of clipped subcarriers and rescales the survivors
@@ -171,11 +174,11 @@ fn renormalize_clipped(weights: &[f64], clipped: &[bool]) -> Vec<f64> {
 /// Effective subcarrier weights: untouched on a clean window, clip-
 /// renormalized on a degraded one (the zero-fault byte-identity hinges
 /// on the clean branch returning the input weights verbatim).
-fn effective_weights(weights: &SubcarrierWeights, health: &WindowHealth) -> Vec<f64> {
+fn effective_weights(weights: SubcarrierWeights, health: &WindowHealth) -> Vec<f64> {
     if health.clipped_subcarriers.iter().any(|&c| c) {
         renormalize_clipped(&weights.weights, &health.clipped_subcarriers)
     } else {
-        weights.weights.clone()
+        weights.weights
     }
 }
 
@@ -187,6 +190,10 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
+/// The paper's three evaluated schemes, in report order (§V-A).
+pub const PAPER_SCHEMES: [&dyn DetectionScheme; 3] =
+    [&Baseline, &SubcarrierWeighting, &SubcarrierAndPathWeighting];
+
 /// Scheme 1: Euclidean distance of CSI amplitudes, averaged over antennas
 /// for fairness (§V-A).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,20 +204,15 @@ impl DetectionScheme for Baseline {
         "baseline"
     }
 
-    fn score_with_health(
-        &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError> {
+    fn score_prepared(&self, window: &PreparedWindow<'_>) -> Result<f64, DetectError> {
         let _stage = mpdf_obs::stage!("core.score.baseline");
-        let (window, health) = sanitized_window(profile, window, config)?;
-        let n = window.len() as f64;
+        let (profile, health) = (window.profile(), window.health());
+        let n = window.packets().len() as f64;
         let mut total = 0.0;
         // Row `r` of a (possibly reduced) packet is physical chain `a`.
         for (r, &a) in health.usable_antennas.iter().enumerate() {
             let mut mean_amp = vec![0.0; profile.subcarriers()];
-            for p in &window {
+            for p in window.packets() {
                 for (k, slot) in mean_amp.iter_mut().enumerate() {
                     *slot += p.get(r, k).norm();
                 }
@@ -220,7 +222,7 @@ impl DetectionScheme for Baseline {
             }
             total += euclidean(&mean_amp, &profile.static_amplitude()[a]);
         }
-        Ok((total / health.usable_antennas.len() as f64, health))
+        Ok(total / health.usable_antennas.len() as f64)
     }
 }
 
@@ -239,28 +241,23 @@ impl DetectionScheme for RssiBaseline {
         "rssi-baseline"
     }
 
-    fn score_with_health(
-        &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError> {
+    fn score_prepared(&self, window: &PreparedWindow<'_>) -> Result<f64, DetectError> {
         let _stage = mpdf_obs::stage!("core.score.rssi");
-        let (window, health) = sanitized_window(profile, window, config)?;
-        let monitored: f64 = window
+        let packets = window.packets();
+        let monitored: f64 = packets
             .iter()
             .map(mpdf_wifi::CsiPacket::total_power)
             .sum::<f64>()
-            / window.len() as f64;
+            / packets.len() as f64;
         // Static wideband power from the stored per-subcarrier profile
         // (antenna-mean), scaled back to a packet total over the chains
         // that actually survived.
-        let static_total: f64 =
-            profile.static_power().iter().sum::<f64>() * health.usable_antennas.len() as f64;
+        let static_total: f64 = window.profile().static_power().iter().sum::<f64>()
+            * window.health().usable_antennas.len() as f64;
         if static_total <= f64::MIN_POSITIVE || monitored <= f64::MIN_POSITIVE {
-            return Ok((0.0, health));
+            return Ok(0.0);
         }
-        Ok(((10.0 * (monitored / static_total).log10()).abs(), health))
+        Ok((10.0 * (monitored / static_total).log10()).abs())
     }
 }
 
@@ -273,25 +270,17 @@ impl DetectionScheme for SubcarrierWeighting {
         "subcarrier-weighting"
     }
 
-    fn score_with_health(
-        &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError> {
+    fn score_prepared(&self, window: &PreparedWindow<'_>) -> Result<f64, DetectError> {
         let _stage = mpdf_obs::stage!("core.score.subcarrier");
-        let (window, health) = sanitized_window(profile, window, config)?;
-        let freqs = config.band.frequencies();
-        let weights = SubcarrierWeights::from_packets(&window, &freqs);
         // Δs(f_k): per-subcarrier RSS change in dB (the paper measures
         // link sensitivity in dB throughout §III; the multipath factor
         // predicts *relative* sensitivity, which only the log-domain
         // difference exposes — destructive subcarriers have small
         // absolute power but large dB swings).
-        let monitored = CsiPacket::median_power_profile(&window);
+        let monitored = CsiPacket::median_power_profile(window.packets());
         let delta: Vec<f64> = monitored
             .iter()
-            .zip(profile.static_power())
+            .zip(window.profile().static_power())
             .map(|(m, s)| {
                 if *s <= f64::MIN_POSITIVE || *m <= f64::MIN_POSITIVE {
                     0.0
@@ -300,9 +289,12 @@ impl DetectionScheme for SubcarrierWeighting {
                 }
             })
             .collect();
-        let eff = effective_weights(&weights, &health);
-        let weighted: Vec<f64> = delta.iter().zip(&eff).map(|(d, w)| w * d).collect();
-        Ok((weighted.iter().map(|d| d * d).sum::<f64>().sqrt(), health))
+        let weighted: Vec<f64> = delta
+            .iter()
+            .zip(window.weights())
+            .map(|(d, w)| w * d)
+            .collect();
+        Ok(weighted.iter().map(|d| d * d).sum::<f64>().sqrt())
     }
 }
 
@@ -316,14 +308,9 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         "subcarrier+path-weighting"
     }
 
-    fn score_with_health(
-        &self,
-        profile: &CalibrationProfile,
-        window: &[CsiPacket],
-        config: &DetectorConfig,
-    ) -> Result<(f64, WindowHealth), DetectError> {
+    fn score_prepared(&self, window: &PreparedWindow<'_>) -> Result<f64, DetectError> {
         let _stage = mpdf_obs::stage!("core.score.combined");
-        let (window, health) = sanitized_window(profile, window, config)?;
+        let (profile, config, health) = (window.profile(), window.config(), window.health());
         // Angle estimation needs an aperture: with fewer than two
         // surviving chains there is no spatial spectrum to compare, so
         // the window counts as degraded beyond what this scheme absorbs.
@@ -333,9 +320,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 budget: config.gap_budget,
             });
         }
-        let freqs = config.band.frequencies();
-        let weights = SubcarrierWeights::from_packets(&window, &freqs);
-        let eff = effective_weights(&weights, &health);
+        let eff = window.weights();
 
         // MUSIC 3→2 fallback: when a chain dropped for the whole window,
         // both sides of the comparison shrink to the surviving sub-array
@@ -347,13 +332,13 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
             (
                 config.steering.subset(&health.usable_antennas),
                 profile
-                    .weighted_static_covariance(Some(&eff))
+                    .weighted_static_covariance(Some(eff))
                     .principal_submatrix(&health.usable_antennas),
             )
         } else {
             (
                 config.steering,
-                profile.weighted_static_covariance(Some(&eff)),
+                profile.weighted_static_covariance(Some(eff)),
             )
         };
 
@@ -363,7 +348,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
         // weights at calibration), but the detection distance needs the
         // power-bearing angular profile of the paper's "subcarrier
         // weighted signal strengths".
-        let monitored_cov = pool_covariances(&subcarrier_covariances(&window)?, Some(&eff));
+        let monitored_cov = pool_covariances(&subcarrier_covariances(window.packets())?, Some(eff));
         let monitored_spectrum = bartlett_spectrum(&monitored_cov, &steering, &config.grid)?;
 
         // Calibration side: the same subcarrier weights applied to the
@@ -395,7 +380,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
             .map(|(d, w)| (*d, *w))
             .collect();
         if gated.is_empty() {
-            return Ok((0.0, health));
+            return Ok(0.0);
         }
         let mean = gated.iter().map(|(d, _)| d).sum::<f64>() / gated.len() as f64;
         let sum_sq: f64 = gated
@@ -405,7 +390,7 @@ impl DetectionScheme for SubcarrierAndPathWeighting {
                 v * v
             })
             .sum();
-        Ok(((sum_sq / gated.len() as f64).sqrt(), health))
+        Ok((sum_sq / gated.len() as f64).sqrt())
     }
 }
 

@@ -3,10 +3,7 @@
 
 use mpdf_core::multipath_factor::multipath_factors;
 use mpdf_core::profile::CalibrationProfile;
-use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
-};
-use mpdf_core::subcarrier_weight::SubcarrierWeights;
+use mpdf_core::scheme::{PreparedWindow, PAPER_SCHEMES};
 use mpdf_eval::scenario::five_cases;
 use mpdf_eval::workload::{case_receiver, CampaignConfig};
 use mpdf_geom::vec2::Vec2;
@@ -55,21 +52,13 @@ fn main() {
             trajectory: &sway,
         }];
         let window = rx.capture_actors(&actors, 25).unwrap();
-        let sanitized: Vec<_> = window
-            .iter()
-            .map(|p| {
-                let mut q = p.clone();
-                sanitize_packet(&mut q, cfg.detector.band.indices());
-                q
-            })
-            .collect();
-        let monitored = mpdf_wifi::csi::CsiPacket::mean_power_profile(&sanitized);
+        let window = PreparedWindow::new(&profile, &window, &cfg.detector).unwrap();
+        let monitored = mpdf_wifi::csi::CsiPacket::mean_power_profile(window.packets());
         let delta: Vec<f64> = monitored
             .iter()
             .zip(profile.static_power())
             .map(|(m, s)| m - s)
             .collect();
-        let w = SubcarrierWeights::from_packets(&sanitized, &freqs);
         println!("\n== {label}");
         println!(
             "|Δs| mean {:.4} max {:.4}",
@@ -79,15 +68,11 @@ fn main() {
         // correlation between |Δs| and weight
         let corr = mpdf_rfmath::fit::pearson(
             &delta.iter().map(|d| d.abs()).collect::<Vec<_>>(),
-            &w.weights,
+            window.weights(),
         );
         println!("corr(|Δs|, weight) = {corr:.3}");
-        for scheme in [
-            &Baseline as &dyn DetectionScheme,
-            &SubcarrierWeighting,
-            &SubcarrierAndPathWeighting,
-        ] {
-            let s = scheme.score(&profile, &window, &cfg.detector).unwrap();
+        for scheme in PAPER_SCHEMES {
+            let s = scheme.score_prepared(&window).unwrap();
             println!("  {:28} {s:.5}", scheme.name());
         }
     }
@@ -109,12 +94,9 @@ fn main() {
             }
         };
         println!("\n== {label}");
-        for scheme in [
-            &Baseline as &dyn DetectionScheme,
-            &SubcarrierWeighting,
-            &SubcarrierAndPathWeighting,
-        ] {
-            let s = scheme.score(&profile, &window, &cfg.detector).unwrap();
+        let window = PreparedWindow::new(&profile, &window, &cfg.detector).unwrap();
+        for scheme in PAPER_SCHEMES {
+            let s = scheme.score_prepared(&window).unwrap();
             println!("  {:28} {s:.5}", scheme.name());
         }
     }

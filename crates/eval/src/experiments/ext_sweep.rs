@@ -15,7 +15,7 @@
 
 use mpdf_core::fade_level::fade_level_db;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
-use mpdf_core::scheme::{Baseline, DetectionScheme, SubcarrierWeighting};
+use mpdf_core::scheme::{Baseline, DetectionScheme, PreparedWindow, SubcarrierWeighting};
 use mpdf_geom::vec2::Vec2;
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::human::HumanBody;
@@ -171,8 +171,9 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
 
         // 1. Fixed channel 11.
         let ch11 = &channels[2];
+        let ch11_window = PreparedWindow::new(&ch11.profile, &windows[2], &ch11.detector)?;
         fixed.push(LabeledScore {
-            score: Baseline.score(&ch11.profile, &windows[2], &ch11.detector)?,
+            score: Baseline.score_prepared(&ch11_window)?,
             positive,
         });
         // 2. Fade-level selection: the *calibration-time* fade level picks
@@ -194,7 +195,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<ExtSweepResult, mpdf_core::error::Det
         });
         // 3. The paper's subcarrier weighting, single channel.
         weighted.push(LabeledScore {
-            score: SubcarrierWeighting.score(&ch11.profile, &windows[2], &ch11.detector)?,
+            score: SubcarrierWeighting.score_prepared(&ch11_window)?,
             positive,
         });
         let _ = w;

@@ -6,7 +6,7 @@
 //! detection-rate requirement.
 
 use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
+    Baseline, DetectionScheme, PreparedWindow, SubcarrierAndPathWeighting, SubcarrierWeighting,
 };
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::trajectory::StaticSway;
@@ -74,12 +74,11 @@ pub fn run(cfg: &CampaignConfig) -> Result<Fig9Result, mpdf_core::error::DetectE
                 else {
                     continue;
                 };
-                slot.1
-                    .push(Baseline.score(&profile, &window, &cfg.detector)?);
-                slot.2
-                    .push(SubcarrierWeighting.score(&profile, &window, &cfg.detector)?);
+                let window = PreparedWindow::new(&profile, &window, &cfg.detector)?;
+                slot.1.push(Baseline.score_prepared(&window)?);
+                slot.2.push(SubcarrierWeighting.score_prepared(&window)?);
                 slot.3
-                    .push(SubcarrierAndPathWeighting.score(&profile, &window, &cfg.detector)?);
+                    .push(SubcarrierAndPathWeighting.score_prepared(&window)?);
                 let _ = episode;
             }
         }

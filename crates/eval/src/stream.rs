@@ -17,7 +17,7 @@
 //! Scores land in *epoch-indexed* slots, so the output order is a pure
 //! function of the byte stream no matter how many workers race — the
 //! contract, pinned by a tier-1 test, is that stream-path scores are
-//! **bit-identical** to the offline [`score_campaign`] pass over the
+//! **bit-identical** to the offline [`score_campaign_all`] pass over the
 //! same recording.
 
 use std::sync::{Mutex, PoisonError};
@@ -25,20 +25,20 @@ use std::time::Instant;
 
 use mpdf_core::error::DetectError;
 use mpdf_core::profile::DetectorConfig;
-use mpdf_core::scheme::{
-    Baseline, DetectionScheme, SubcarrierAndPathWeighting, SubcarrierWeighting,
-};
+use mpdf_core::scheme::{PreparedWindow, PAPER_SCHEMES};
 use mpdf_par::queue::Bounded;
 use mpdf_wifi::band::Band;
 use mpdf_wifi::csi::CsiPacket;
 use mpdf_wifi::wire;
 
 use crate::scenario::five_cases;
-use crate::workload::{run_campaign, score_campaign, CampaignConfig, CaseData, ScoredWindow};
+use crate::workload::{
+    run_campaign, score_campaign_all, score_or_abstain, CampaignConfig, CaseData, ScoredWindow,
+};
 
 /// Per-epoch scores in scheme order (baseline, subcarrier, combined);
 /// `None` where that scheme abstained (degraded beyond budget / empty),
-/// mirroring [`score_campaign`]'s skip semantics.
+/// mirroring [`score_campaign_all`]'s skip semantics.
 pub type EpochScores = [Option<f64>; 3];
 
 /// Knobs of the replay transport.
@@ -203,18 +203,11 @@ pub fn stream_case_scores(
         for _ in 0..workers.max(1) {
             scope.spawn(|| {
                 while let Some((idx, packets)) = epochs.pop() {
-                    let results = [
-                        Baseline.score(&case.profile, &packets, detector),
-                        SubcarrierWeighting.score(&case.profile, &packets, detector),
-                        SubcarrierAndPathWeighting.score(&case.profile, &packets, detector),
-                    ];
+                    let prepared = PreparedWindow::new(&case.profile, &packets, detector);
                     let mut scores: EpochScores = [None, None, None];
-                    for (slot, result) in scores.iter_mut().zip(results) {
-                        match result {
-                            Ok(s) => *slot = Some(s),
-                            Err(
-                                DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow,
-                            ) => {}
+                    for (slot, scheme) in scores.iter_mut().zip(PAPER_SCHEMES) {
+                        match score_or_abstain(&prepared, scheme) {
+                            Ok(s) => *slot = s,
                             Err(e) => {
                                 let mut f = lock(&failure);
                                 if f.is_none() {
@@ -317,11 +310,7 @@ pub fn run_stream(cfg: &CampaignConfig, opts: &StreamOptions) -> Result<StreamRu
     let _stage = mpdf_obs::stage!("eval.stream");
     let cases = five_cases();
     let data = run_campaign(&cases, cfg)?;
-    let offline = [
-        score_campaign(&data, &Baseline, &cfg.detector)?,
-        score_campaign(&data, &SubcarrierWeighting, &cfg.detector)?,
-        score_campaign(&data, &SubcarrierAndPathWeighting, &cfg.detector)?,
-    ];
+    let offline = score_campaign_all(&data, &PAPER_SCHEMES, &cfg.detector)?;
 
     let start = Instant::now();
     let mut reports = Vec::with_capacity(data.len());

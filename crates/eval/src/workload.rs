@@ -6,8 +6,9 @@
 //! background dynamics (people moving far from the link, as the paper
 //! allowed during its campaign).
 
+use mpdf_core::error::DetectError;
 use mpdf_core::profile::{CalibrationProfile, DetectorConfig};
-use mpdf_core::scheme::DetectionScheme;
+use mpdf_core::scheme::{DetectionScheme, PreparedWindow};
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_propagation::channel::ChannelModel;
 use mpdf_propagation::human::HumanBody;
@@ -268,7 +269,7 @@ struct WindowJob {
 pub fn run_campaign(
     cases: &[LinkCase],
     cfg: &CampaignConfig,
-) -> Result<Vec<CaseData>, mpdf_core::error::DetectError> {
+) -> Result<Vec<CaseData>, DetectError> {
     let _stage = mpdf_obs::stage!("eval.campaign");
     // Stage 1: per-case template receiver and calibration profile.
     let calibrated: Vec<(CsiReceiver, CalibrationProfile)> =
@@ -279,7 +280,7 @@ pub fn run_campaign(
                 .capture_static(None, cfg.calibration_packets)?;
             let profile = CalibrationProfile::build(&calibration, &cfg.detector)?;
             mpdf_obs::counter!("eval.cases_total").inc();
-            Ok::<_, mpdf_core::error::DetectError>((template, profile))
+            Ok::<_, DetectError>((template, profile))
         })?;
 
     // Stage 2: one flat job list across all cases and windows, grouped by
@@ -318,7 +319,7 @@ pub fn run_campaign(
         // Per-case breakdown keyed by the scenario's case id (dynamic
         // name, so it goes through the registry rather than the macro).
         mpdf_obs::metrics::counter(&format!("eval.case{}.windows_total", case.id)).inc();
-        Ok::<_, mpdf_core::error::DetectError>(WindowRecord {
+        Ok::<_, DetectError>(WindowRecord {
             packets,
             human: job.monitored.map(|pos| annotate(case, pos)),
         })
@@ -362,49 +363,83 @@ impl ScoredWindow {
     }
 }
 
-/// Scores every window of a campaign with one scheme.
-///
-/// Windows that the graceful-degradation path aborts with
-/// [`DegradedBeyondBudget`](mpdf_core::error::DetectError::DegradedBeyondBudget)
-/// — or that the faulty receiver lost outright
-/// ([`EmptyWindow`](mpdf_core::error::DetectError::EmptyWindow)) — are
-/// skipped: a detector facing a fault burst abstains on that window
-/// rather than failing the whole campaign. Abstentions are counted on
-/// `eval.aborted_windows_total`. Fault-free campaigns never abort, so
-/// this keeps the zero-fault output byte-identical.
+/// Scores every window of a campaign with one scheme: a one-scheme
+/// [`score_campaign_all`].
 ///
 /// # Errors
-/// Propagates scheme errors other than gap-budget aborts and lost
-/// windows.
+/// Same as [`score_campaign_all`].
 pub fn score_campaign<S: DetectionScheme>(
     data: &[CaseData],
     scheme: &S,
     detector: &DetectorConfig,
-) -> Result<Vec<ScoredWindow>, mpdf_core::error::DetectError> {
+) -> Result<Vec<ScoredWindow>, DetectError> {
+    let [scored] = score_campaign_all(data, &[scheme], detector)?;
+    Ok(scored)
+}
+
+/// Scores every window of a campaign under each scheme, window-major:
+/// each window is prepared once ([`PreparedWindow`]) and scored by every
+/// scheme in turn. Returns one score list per scheme, in `schemes` order.
+///
+/// Windows that the graceful-degradation path aborts with
+/// [`DegradedBeyondBudget`](DetectError::DegradedBeyondBudget) — or that
+/// the faulty receiver lost outright
+/// ([`EmptyWindow`](DetectError::EmptyWindow)) — are skipped by each
+/// scheme that aborts on them: a detector facing a fault burst abstains
+/// on that window rather than failing the whole campaign. Abstentions
+/// are counted per scheme on `eval.aborted_windows_total`. Fault-free
+/// campaigns never abort, so this keeps the zero-fault output
+/// byte-identical.
+///
+/// # Errors
+/// Propagates scheme errors other than gap-budget aborts and lost
+/// windows.
+pub fn score_campaign_all<const N: usize>(
+    data: &[CaseData],
+    schemes: &[&dyn DetectionScheme; N],
+    detector: &DetectorConfig,
+) -> Result<[Vec<ScoredWindow>; N], DetectError> {
     let _stage = mpdf_obs::stage!("eval.score");
-    let mut out = Vec::new();
+    let mut out: [Vec<ScoredWindow>; N] = std::array::from_fn(|_| Vec::new());
     for case in data {
         for w in &case.windows {
-            let score = match scheme.score(&case.profile, &w.packets, detector) {
-                Ok(score) => score,
-                Err(
-                    mpdf_core::error::DetectError::DegradedBeyondBudget { .. }
-                    | mpdf_core::error::DetectError::EmptyWindow,
-                ) => {
+            let prepared = PreparedWindow::new(&case.profile, &w.packets, detector);
+            for (scheme, scored) in schemes.iter().zip(&mut out) {
+                let Some(score) = score_or_abstain(&prepared, *scheme)? else {
                     mpdf_obs::counter!("eval.aborted_windows_total").inc();
                     continue;
-                }
-                Err(e) => return Err(e),
-            };
-            mpdf_obs::counter!("eval.scored_windows_total").inc();
-            out.push(ScoredWindow {
-                case_id: case.case_id,
-                score,
-                human: w.human,
-            });
+                };
+                mpdf_obs::counter!("eval.scored_windows_total").inc();
+                scored.push(ScoredWindow {
+                    case_id: case.case_id,
+                    score,
+                    human: w.human,
+                });
+            }
         }
     }
     Ok(out)
+}
+
+/// Scores a prepared window — or passes on its preparation error — under
+/// one scheme; `None` where the scheme abstains (the window was degraded
+/// beyond budget or lost outright).
+///
+/// # Errors
+/// Every other preparation or scoring error.
+pub(crate) fn score_or_abstain(
+    prepared: &Result<PreparedWindow<'_>, DetectError>,
+    scheme: &dyn DetectionScheme,
+) -> Result<Option<f64>, DetectError> {
+    let score = match prepared {
+        Ok(p) => scheme.score_prepared(p),
+        Err(e) => Err(e.clone()),
+    };
+    match score {
+        Ok(s) => Ok(Some(s)),
+        Err(DetectError::DegradedBeyondBudget { .. } | DetectError::EmptyWindow) => Ok(None),
+        Err(e) => Err(e),
+    }
 }
 
 #[cfg(test)]

@@ -64,9 +64,8 @@ impl CsiPacket {
 
     /// Bitwise equality with another packet: identical shape, metadata
     /// and per-sample bit patterns. Samples compare by representation
-    /// (`to_bits`), so `NaN`s equal themselves — IEEE `==` would make a
-    /// memo key unsound by never matching a poisoned packet and by
-    /// conflating `±0.0`.
+    /// (`to_bits`), so `NaN`s equal themselves — IEEE `==` would never
+    /// match a poisoned packet and would conflate `±0.0`.
     pub fn bits_eq(&self, other: &Self) -> bool {
         self.antennas == other.antennas
             && self.subcarriers == other.subcarriers
