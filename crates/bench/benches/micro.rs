@@ -23,6 +23,7 @@ use mpdf_core::subcarrier_weight::SubcarrierWeights;
 use mpdf_fleet::{Fleet, FleetPolicy, LinkWindow};
 use mpdf_music::covariance::sample_covariance;
 use mpdf_music::music::{pseudospectrum, AngleGrid, UlaSteering};
+use mpdf_propagation::channel::Modulation;
 use mpdf_propagation::human::HumanBody;
 use mpdf_propagation::tracer::{trace, TraceConfig};
 use mpdf_propagation::trajectory::StaticSway;
@@ -35,6 +36,9 @@ use mpdf_wifi::band::Band;
 use mpdf_wifi::receiver::{Actor, CsiReceiver};
 use mpdf_wifi::sanitize::sanitize_packet;
 use mpdf_wifi::wire;
+use mpdf_wifi::{CsiPacket, ImpairmentModel};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn bench_numerics(c: &mut Criterion) {
     let mut g = c.benchmark_group("numerics");
@@ -76,6 +80,28 @@ fn bench_physics(c: &mut Criterion) {
     let freqs = Band::wifi_2_4ghz_channel11().frequencies();
     g.bench_function("cfr_30_subcarriers", |b| {
         b.iter(|| black_box(snap.cfr(black_box(&freqs))));
+    });
+    // Per-packet simulator kernels. Shadowing + scatter of one body
+    // beside the link: the leg culling pass plus the scatter path.
+    let mut m = Modulation::default();
+    g.bench_function("modulate_packet", |b| {
+        b.iter(|| {
+            link.modulate_into(std::slice::from_ref(black_box(&body)), &mut m);
+            black_box(m.betas.len())
+        });
+    });
+    // Commodity-NIC impairments of one 3×30 packet (rotor, AGC, AWGN and
+    // a session-fixed interferer): dominated by the Gaussian draws.
+    let clean = CsiPacket::new(3, 30, vec![Complex64::ONE; 90], 0, 0.0);
+    let commodity = ImpairmentModel::commodity_nic();
+    let band = Band::wifi_2_4ghz_channel11();
+    let mut rng = SmallRng::seed_from_u64(5);
+    g.bench_function("impairments_packet", |b| {
+        b.iter(|| {
+            let mut p = clean.clone();
+            commodity.apply_with_interferer(&mut p, band.indices(), 1.0, Some(15), &mut rng);
+            black_box(p)
+        });
     });
     // One campaign window: a fork of the link's receiver captures 25
     // packets of one swaying person (per-packet modulation + table CFR

@@ -8,7 +8,11 @@
 //!
 //! A [`CfrTable`] evaluates the same sum per packet: it precomputes the
 //! terms of the environment paths that no body changes, and takes the
-//! bodies' effect from [`ChannelModel::modulate_into`].
+//! bodies' effect from [`ChannelModel::modulate_into`]. Per packet both
+//! pay only for what the bodies change (Patwari & Wilson's spatial
+//! point: only paths that pass near a person move): `modulate_into`
+//! skips the legs no body can touch, and the table adds an unshadowed
+//! path's precomputed contribution instead of re-evaluating it.
 //!
 //! Snapshots also expose *ground truth* the physical testbed could never
 //! report — the true per-frequency LOS power fraction — which the test
@@ -16,6 +20,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use mpdf_geom::segment::Segment;
 use mpdf_geom::vec2::{Point, Vec2};
 use mpdf_rfmath::complex::Complex64;
 
@@ -37,7 +42,90 @@ pub struct ChannelModel {
     /// Shared via the process-wide trace cache: geometry never changes
     /// within a campaign, so every link with the same (environment, TX,
     /// RX, trace config) reuses one immutable traced path set.
-    static_paths: Arc<Vec<PropagationPath>>,
+    static_paths: Arc<StaticPaths>,
+}
+
+/// A link's traced environment paths plus the flat list of their legs
+/// that the per-packet shadowing pass scans.
+#[derive(Debug, PartialEq)]
+struct StaticPaths {
+    /// The traced paths, shortest first.
+    paths: Vec<PropagationPath>,
+    /// Every leg of every path, in trace order, then leg order.
+    legs: Vec<ShadowLeg>,
+    /// End of each path's legs in `legs`.
+    leg_ends: Vec<usize>,
+}
+
+/// Relative slack of the leg culling test; orders of magnitude above
+/// the rounding of the distance [`mpdf_geom::shapes::Circle::penetration`]
+/// computes.
+const CULL_SLACK: f64 = 1e-9;
+
+/// One static-path leg with what the culling test needs: its bounding
+/// box, the unit normal and offset of its supporting line, and a slack
+/// that covers rounding at the leg's coordinate scale.
+#[derive(Debug, PartialEq)]
+struct ShadowLeg {
+    seg: Segment,
+    min: Point,
+    max: Point,
+    /// Unit normal of the leg; zero for a degenerate leg, which the line
+    /// test then never culls.
+    normal: Vec2,
+    /// `normal · a`: the signed distance of the line from the origin.
+    offset: f64,
+    slack: f64,
+}
+
+impl ShadowLeg {
+    fn new(seg: Segment) -> ShadowLeg {
+        let scale = [seg.a.x, seg.a.y, seg.b.x, seg.b.y]
+            .iter()
+            .fold(1.0, |m: f64, c| m.max(c.abs()));
+        let normal = seg.normal().unwrap_or(Vec2::ZERO);
+        ShadowLeg {
+            seg,
+            min: Point::new(seg.a.x.min(seg.b.x), seg.a.y.min(seg.b.y)),
+            max: Point::new(seg.a.x.max(seg.b.x), seg.a.y.max(seg.b.y)),
+            normal,
+            offset: normal.dot(seg.a),
+            slack: CULL_SLACK * scale,
+        }
+    }
+
+    /// True when a disk at `center` provably misses the leg: the centre
+    /// lies more than `margin` (the radius plus slack) outside the box
+    /// or away from the supporting line, so the leg's distance to it is
+    /// at least the radius and the penetration is 0. (A non-finite
+    /// centre penetrates nothing either way.) Branch-free: the test runs
+    /// for every leg and body of every packet.
+    fn misses(&self, center: Point, margin: f64) -> bool {
+        let outside_x = (self.min.x - center.x).max(center.x - self.max.x);
+        let outside_y = (self.min.y - center.y).max(center.y - self.max.y);
+        let off_line = (self.normal.dot(center) - self.offset).abs();
+        outside_x.max(outside_y).max(off_line) > margin + self.slack
+    }
+}
+
+impl StaticPaths {
+    fn new(paths: Vec<PropagationPath>) -> StaticPaths {
+        let mut legs = Vec::new();
+        let mut leg_ends = Vec::with_capacity(paths.len());
+        for p in &paths {
+            legs.extend(
+                p.vertices()
+                    .windows(2)
+                    .map(|w| ShadowLeg::new(Segment::new(w[0], w[1]))),
+            );
+            leg_ends.push(legs.len());
+        }
+        StaticPaths {
+            paths,
+            legs,
+            leg_ends,
+        }
+    }
 }
 
 /// One entry of the static-geometry trace cache.
@@ -47,7 +135,7 @@ struct TraceCacheEntry {
     tx: Point,
     rx: Point,
     cfg: TraceConfig,
-    paths: Arc<Vec<PropagationPath>>,
+    paths: Arc<StaticPaths>,
 }
 
 /// Process-wide image-source trace cache. Campaigns trace a handful of
@@ -70,7 +158,7 @@ fn traced_paths_cached(
     tx: Point,
     rx: Point,
     cfg: &TraceConfig,
-) -> Result<Arc<Vec<PropagationPath>>, TraceError> {
+) -> Result<Arc<StaticPaths>, TraceError> {
     let cache = TRACE_CACHE.get_or_init(|| Mutex::new(Vec::new()));
     {
         // Cached path sets are immutable once inserted, so a poisoned
@@ -85,7 +173,7 @@ fn traced_paths_cached(
         }
     }
     mpdf_obs::counter!("physics.trace_cache.misses").inc();
-    let paths = Arc::new(trace(env, tx, rx, cfg)?);
+    let paths = Arc::new(StaticPaths::new(trace(env, tx, rx, cfg)?));
     let mut entries = cache.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(e) = entries
         .iter()
@@ -202,6 +290,7 @@ impl ChannelModel {
         self.modulate_into(humans, &mut m);
         let paths = self
             .static_paths
+            .paths
             .iter()
             .zip(&m.betas)
             .map(|(p, &beta)| p.attenuated(beta))
@@ -222,13 +311,31 @@ impl ChannelModel {
     /// This is everything about a snapshot that changes from packet to
     /// packet; together with a [`CfrTable`] it evaluates the CFR without
     /// cloning any static path.
+    ///
+    /// Each static path's `β` is `∏_bodies` [`HumanBody::shadow_factor`],
+    /// to the bit: the pass skips the legs whose bounding box or
+    /// supporting line lies farther than the body radius (plus a rounding
+    /// slack) from the body centre, whose penetration is provably 0, and
+    /// multiplies the remaining legs' and bodies' factors in the same
+    /// order.
     pub fn modulate_into(&self, humans: &[HumanBody], out: &mut Modulation) {
+        let statics = &*self.static_paths;
         out.betas.clear();
-        out.betas.extend(
-            self.static_paths
-                .iter()
-                .map(|p| humans.iter().map(|b| b.shadow_factor(p)).product::<f64>()),
-        );
+        out.betas.resize(statics.paths.len(), 1.0);
+        for body in humans {
+            let center = body.position();
+            let margin = body.radius() + CULL_SLACK * (1.0 + body.radius());
+            let mut start = 0;
+            for (beta, &end) in out.betas.iter_mut().zip(&statics.leg_ends) {
+                *beta *= body.legs_shadow_factor(
+                    statics.legs[start..end]
+                        .iter()
+                        .filter(|l| !l.misses(center, margin))
+                        .map(|l| l.seg),
+                );
+                start = end;
+            }
+        }
         out.scatter.clear();
         for (i, body) in humans.iter().enumerate() {
             if let Some(sp) = body.scatter_path(&self.env, self.tx, self.rx) {
@@ -247,7 +354,7 @@ impl ChannelModel {
     /// grid `freqs` and the observation offsets `offsets` (one per array
     /// element). See [`CfrTable`].
     pub fn cfr_table(&self, freqs: &[f64], offsets: &[Vec2]) -> CfrTable {
-        CfrTable::new(&self.static_paths, self.pathloss, freqs, offsets)
+        CfrTable::new(&self.static_paths.paths, self.pathloss, freqs, offsets)
     }
 }
 
@@ -399,11 +506,14 @@ impl ChannelSnapshot {
 ///
 /// Bodies only scale the static paths' amplitudes (`β`) and add scatter
 /// paths, so for each static path the table holds the Friis amplitude
-/// and the travel-phase `cos`/`sin` per frequency, and the plane-wave
-/// phasor per (element, frequency). [`CfrTable::eval_into`] then costs
-/// three multiplies per (path, frequency) and one complex multiply-add
-/// per element, and reproduces [`ChannelSnapshot::cfr_with_offset`] of
-/// the matching snapshot bit for bit: each sample evaluates the same
+/// and the travel-phase `cos`/`sin` per frequency, the plane-wave
+/// phasor per (element, frequency), and the path's whole unshadowed
+/// contribution per (element, frequency). [`CfrTable::eval_into`] adds
+/// that contribution for a path with `β` exactly 1 (`factor·1 ==
+/// factor`, so it is the same number), and otherwise costs three
+/// multiplies per (path, frequency) and one complex multiply-add per
+/// element. Either way it reproduces [`ChannelSnapshot::cfr_with_offset`]
+/// of the matching snapshot bit for bit: each sample evaluates the same
 /// expression tree, with the packet-invariant operands precomputed.
 #[derive(Debug)]
 pub struct CfrTable {
@@ -422,6 +532,8 @@ pub struct CfrTable {
     /// Start of each path's rows in `phasors`; `None` for a path without
     /// an arrival direction (its gain reaches every element unshifted).
     phasor_rows: Vec<Option<usize>>,
+    /// Each path's contribution at `β = 1`, `[path][element][freq]`.
+    unshadowed: Vec<Complex64>,
 }
 
 impl CfrTable {
@@ -441,6 +553,7 @@ impl CfrTable {
             travel: Vec::with_capacity(cells),
             phasors: Vec::with_capacity(cells * offsets.len()),
             phasor_rows: Vec::with_capacity(paths.len()),
+            unshadowed: Vec::with_capacity(cells * offsets.len()),
         };
         for p in paths {
             let d = p.length();
@@ -464,7 +577,60 @@ impl CfrTable {
             });
             table.phasor_rows.push(rows);
         }
+        let mut gains = Vec::with_capacity(freqs.len());
+        let mut row = vec![Complex64::ZERO; freqs.len()];
+        for i in 0..paths.len() {
+            table.static_gains(i, table.factors[i], &mut gains);
+            for e in 0..offsets.len() {
+                table.combine_static(i, e, &gains, &mut row, |h, g| *h = g);
+                table.unshadowed.extend_from_slice(&row);
+            }
+        }
         table
+    }
+
+    /// Writes static path `i`'s gain at every frequency into `gains` for
+    /// the amplitude factor `af`: per sample exactly
+    /// `Complex64::from_polar(af * friis, phase)`.
+    fn static_gains(&self, i: usize, af: f64, gains: &mut Vec<Complex64>) {
+        let cells = i * self.freqs.len()..(i + 1) * self.freqs.len();
+        gains.clear();
+        gains.extend(
+            self.friis[cells.clone()]
+                .iter()
+                .zip(&self.travel[cells])
+                .map(|(&a, &(cos, sin))| {
+                    let amplitude = af * a;
+                    Complex64::new(amplitude * cos, amplitude * sin)
+                }),
+        );
+    }
+
+    /// Applies `op(h, term)` to each sample of `row` with static path
+    /// `i`'s term at element `e`: its gain times the element's plane-wave
+    /// phasor, or the bare gain for a path without arrival direction.
+    fn combine_static(
+        &self,
+        i: usize,
+        e: usize,
+        gains: &[Complex64],
+        row: &mut [Complex64],
+        op: impl Fn(&mut Complex64, Complex64),
+    ) {
+        match self.phasor_rows[i] {
+            Some(start) => {
+                let nf = self.freqs.len();
+                let phasors = &self.phasors[start + e * nf..start + (e + 1) * nf];
+                for ((h, &g), &ph) in row.iter_mut().zip(gains).zip(phasors) {
+                    op(h, g * ph);
+                }
+            }
+            None => {
+                for (h, &g) in row.iter_mut().zip(gains) {
+                    op(h, g);
+                }
+            }
+        }
     }
 
     /// Evaluates the CFR of the modulated link at every element into
@@ -487,38 +653,22 @@ impl CfrTable {
         if nf == 0 {
             return;
         }
+        let block = out.len();
         let mut gains = Vec::with_capacity(nf);
         for (i, (&factor, &beta)) in self.factors.iter().zip(&m.betas).enumerate() {
-            // Exactly `attenuated(β).amplitude_factor()`, then per sample
-            // exactly `Complex64::from_polar(af * friis, phase)`.
-            let af = factor * beta;
-            let cells = i * nf..(i + 1) * nf;
-            gains.clear();
-            gains.extend(
-                self.friis[cells.clone()]
-                    .iter()
-                    .zip(&self.travel[cells])
-                    .map(|(&a, &(cos, sin))| {
-                        let amplitude = af * a;
-                        Complex64::new(amplitude * cos, amplitude * sin)
-                    }),
-            );
-            match self.phasor_rows[i] {
-                Some(start) => {
-                    let phasors = self.phasors[start..].chunks_exact(nf);
-                    for (row, phasors) in out.chunks_exact_mut(nf).zip(phasors) {
-                        for ((h, &g), &ph) in row.iter_mut().zip(&gains).zip(phasors) {
-                            *h += g * ph;
-                        }
-                    }
+            if beta.to_bits() == 1.0f64.to_bits() {
+                // Unshadowed: `factor * 1.0 == factor`, so the stored
+                // term is exactly what the arithmetic below would give.
+                let terms = &self.unshadowed[i * block..(i + 1) * block];
+                for (h, &t) in out.iter_mut().zip(terms) {
+                    *h += t;
                 }
-                None => {
-                    for row in out.chunks_exact_mut(nf) {
-                        for (h, &g) in row.iter_mut().zip(&gains) {
-                            *h += g;
-                        }
-                    }
-                }
+                continue;
+            }
+            // Exactly `attenuated(β).amplitude_factor()`.
+            self.static_gains(i, factor * beta, &mut gains);
+            for (e, row) in out.chunks_exact_mut(nf).enumerate() {
+                self.combine_static(i, e, &gains, row, |h, t| *h += t);
             }
         }
         for p in &m.scatter {
@@ -726,14 +876,14 @@ mod tests {
         let mut m = Modulation::default();
         model.modulate_into(&bodies, &mut m);
         let snap = model.snapshot_multi(&bodies).unwrap();
-        let n = model.static_paths.len();
+        let n = model.static_paths.paths.len();
         assert_eq!(m.betas.len(), n);
         assert_eq!(m.scatter.len(), 2);
         assert_eq!(snap.paths().len(), n + 2);
         for ((path, base), &beta) in snap
             .paths()
             .iter()
-            .zip(model.static_paths.iter())
+            .zip(model.static_paths.paths.iter())
             .zip(&m.betas)
         {
             assert_eq!(*path, base.attenuated(beta));
@@ -744,7 +894,7 @@ mod tests {
         assert!(m.betas.iter().all(|&b| b == 1.0) && m.scatter.is_empty());
         assert_eq!(
             model.snapshot(None).unwrap().paths(),
-            &model.static_paths[..]
+            &model.static_paths.paths[..]
         );
     }
 
@@ -887,6 +1037,44 @@ mod tests {
             }
 
             #[test]
+            fn table_mixes_unshadowed_and_shadowed_paths_bitwise(
+                x in 3.0f64..5.0,
+                dy in -0.05f64..0.05,
+                second in 0usize..2,
+                b in body(),
+                offsets in array(),
+                freqs in grid(),
+            ) {
+                // A body on the LOS shadows a few paths (β < 1) and leaves
+                // the rest at exactly 1. The oracle snapshot takes its β
+                // from `shadow_factor` directly, not from `modulate_into`.
+                let model = link();
+                let humans = &[HumanBody::new(p(x, 3.0 + dy)), b][..1 + second];
+                let betas: Vec<f64> = model
+                    .static_paths
+                    .paths
+                    .iter()
+                    .map(|path| humans.iter().map(|h| h.shadow_factor(path)).product())
+                    .collect();
+                prop_assert!(betas[0] < 1.0, "the LOS must be shadowed");
+                let alone = model.static_paths.paths.iter().map(|path| humans[0].shadow_factor(path));
+                prop_assert!(alone.into_iter().any(|b| b == 1.0), "the LOS body must leave paths unshadowed");
+                let mut m = Modulation::default();
+                model.modulate_into(humans, &mut m);
+                let paths = model
+                    .static_paths
+                    .paths
+                    .iter()
+                    .zip(&betas)
+                    .map(|(path, &beta)| path.attenuated(beta))
+                    .chain(m.scatter.iter().cloned())
+                    .collect();
+                let snap = ChannelSnapshot { paths, pathloss: model.pathloss, rx: model.rx };
+                let table = model.cfr_table(&freqs, &offsets);
+                assert_bitwise(&table, &m, &snap)?;
+            }
+
+            #[test]
             fn paths_without_arrival_direction_match_the_oracle_bitwise(
                 af in 0.0f64..1.0,
                 beta in 0.0f64..1.0,
@@ -901,7 +1089,7 @@ mod tests {
                     PathKind::WallReflection { order: 1 },
                 );
                 prop_assert!(stub.arrival_direction().is_none());
-                let mut statics = link().static_paths.as_ref().clone();
+                let mut statics = link().static_paths.paths.clone();
                 statics.insert(1, stub.clone());
                 let pathloss = PathLossModel::default();
                 let table = CfrTable::new(&statics, pathloss, &freqs, &offsets);
@@ -915,6 +1103,94 @@ mod tests {
                 let snap = ChannelSnapshot { paths, pathloss, rx };
                 assert_bitwise(&table, &m, &snap)?;
             }
+        }
+    }
+
+    mod cull_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Raw draws for one body: where to put it, which leg it hugs and
+        /// how, and its radius.
+        type RawBody = ((usize, usize, f64), (usize, f64, f64), (f64, f64));
+
+        fn raw_body() -> impl Strategy<Value = RawBody> {
+            (
+                (0usize..3, 0usize..100_000, 0.0f64..=1.0),
+                (0usize..2, -1e-9f64..=1e-9, 0.05f64..0.6),
+                (0.3f64..7.7, 0.3f64..5.7),
+            )
+        }
+
+        /// Places a body anywhere in the room, with its rim within
+        /// ±1e-9 m of a static leg, or with its centre on the culling
+        /// boundary of a leg's box.
+        fn place(model: &ChannelModel, raw: RawBody) -> HumanBody {
+            let ((place, pick, t), (side, delta, radius), (x, y)) = raw;
+            let legs = &model.static_paths.legs;
+            let leg = &legs[pick % legs.len()];
+            let sign = if side == 0 { -1.0 } else { 1.0 };
+            let center = match place {
+                0 => p(x, y),
+                1 => {
+                    let normal = leg.seg.normal().unwrap_or(Vec2::new(0.0, 1.0));
+                    leg.seg.at(t) + normal * (sign * (radius + delta))
+                }
+                _ => {
+                    // On the culling boundary of the box's x extent, or
+                    // of the supporting line's offset band.
+                    let m = radius + CULL_SLACK * (1.0 + radius) + leg.slack;
+                    match (side, leg.normal == Vec2::ZERO) {
+                        (0, _) | (_, true) => {
+                            let edge = if t < 0.5 {
+                                leg.min.x - m
+                            } else {
+                                leg.max.x + m
+                            };
+                            p(edge + delta * 1e-3, leg.min.y + t * (leg.max.y - leg.min.y))
+                        }
+                        _ => leg.seg.at(t) + leg.normal * (m + delta * 1e-3),
+                    }
+                }
+            };
+            HumanBody::with_params(center, radius, 0.5, HumanBody::DEFAULT_MIN_SHADOW)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn culled_betas_match_shadow_factor_bitwise(
+                raw in proptest::collection::vec(raw_body(), 1..4),
+            ) {
+                let model = link();
+                let humans: Vec<HumanBody> = raw.into_iter().map(|r| place(&model, r)).collect();
+                let mut m = Modulation::default();
+                model.modulate_into(&humans, &mut m);
+                for (i, (path, &beta)) in model.static_paths.paths.iter().zip(&m.betas).enumerate() {
+                    let oracle: f64 = humans.iter().map(|h| h.shadow_factor(path)).product();
+                    prop_assert!(
+                        beta.to_bits() == oracle.to_bits(),
+                        "path {}: culled β {:e} vs shadow_factor {:e}",
+                        i,
+                        beta,
+                        oracle
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn culling_skips_most_legs_of_a_body_beside_the_link() {
+            let model = link();
+            let body = HumanBody::new(p(4.0, 3.4));
+            let margin = body.radius() + CULL_SLACK * (1.0 + body.radius());
+            let legs = &model.static_paths.legs;
+            let kept = legs
+                .iter()
+                .filter(|l| !l.misses(body.position(), margin))
+                .count();
+            assert!(kept * 2 < legs.len(), "{kept} of {} legs kept", legs.len());
         }
     }
 }

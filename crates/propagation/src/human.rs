@@ -10,6 +10,7 @@
 //!
 //! Both are implemented here in plan view with a circular body footprint.
 
+use mpdf_geom::segment::Segment;
 use mpdf_geom::shapes::Circle;
 use mpdf_geom::vec2::Point;
 
@@ -102,13 +103,20 @@ impl HumanBody {
     /// passing through the centre ≈ `min_shadow`); legs multiply. The
     /// phase is untouched, per the paper's shadowing model.
     pub fn shadow_factor(&self, path: &PropagationPath) -> f64 {
+        // Iterate the polyline directly — identical legs to
+        // `path.legs()` without materializing the segment vector.
+        self.legs_shadow_factor(path.vertices().windows(2).map(|w| Segment::new(w[0], w[1])))
+    }
+
+    /// [`HumanBody::shadow_factor`] of a path given as its legs, in path
+    /// order. Legs the body does not penetrate multiply nothing, so
+    /// leaving out legs the body provably misses gives the same `β` to
+    /// the bit (how [`crate::channel::ChannelModel::modulate_into`]
+    /// culls legs far from the body).
+    pub fn legs_shadow_factor(&self, legs: impl IntoIterator<Item = Segment>) -> f64 {
         let disk = self.footprint();
         let mut beta = 1.0;
-        // Iterate the polyline directly — identical legs to
-        // `path.legs()` without materializing the segment vector (this
-        // runs once per path per snapshot, the hot loop of a campaign).
-        for w in path.vertices().windows(2) {
-            let leg = mpdf_geom::segment::Segment::new(w[0], w[1]);
+        for leg in legs {
             let pen = disk.penetration(&leg);
             if pen > 0.0 {
                 beta *= 1.0 - (1.0 - self.min_shadow) * pen;
@@ -127,8 +135,8 @@ impl HumanBody {
         if self.position.distance(tx) < 1e-6 || self.position.distance(rx) < 1e-6 {
             return None;
         }
-        let leg1 = mpdf_geom::segment::Segment::new(tx, self.position);
-        let leg2 = mpdf_geom::segment::Segment::new(self.position, rx);
+        let leg1 = Segment::new(tx, self.position);
+        let leg2 = Segment::new(self.position, rx);
         let factor =
             self.reflectivity * env.leg_transmission(&leg1, &[]) * env.leg_transmission(&leg2, &[]);
         Some(PropagationPath::new(

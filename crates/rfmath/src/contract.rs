@@ -112,7 +112,9 @@ mod tests {
     use proptest::prelude::*;
 
     /// Runs `f` and reports whether it panicked (contracts are
-    /// `debug_assert`-backed, so violations must panic under test).
+    /// `debug_assert`-backed, so violations panic only with debug
+    /// assertions on — the violation tests below are gated on them).
+    #[cfg(debug_assertions)]
     fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep test output clean
@@ -132,6 +134,7 @@ mod tests {
         assert_hermitian("x", &CMatrix::identity(3), 1e-12);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn rejects_violations() {
         assert!(panics(|| assert_finite("x", &[1.0, f64::NAN])));
@@ -151,6 +154,7 @@ mod tests {
         assert!(panics(|| assert_hermitian("x", &skew, 1e-9)));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn panic_message_names_label_and_offender() {
         let prev = std::panic::take_hook();
@@ -163,6 +167,25 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("multipath factors μ"), "{msg}");
         assert!(msg.contains("index 1"), "{msg}");
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn contracts_compile_out_without_debug_assertions() {
+        // Release codegen drops every check: violations pass silently.
+        assert_finite("x", &[f64::NAN, f64::INFINITY]);
+        assert_non_negative("x", &[-1.0]);
+        assert_positive("x", &[0.0]);
+        assert_unit_interval("x", &[2.0]);
+        assert_normalized("x", &[0.6, 0.6], 1e-12);
+        let skew = CMatrix::from_fn(2, 2, |i, j| {
+            if i == j {
+                Complex64::ONE
+            } else {
+                Complex64::new(0.0, 1.0)
+            }
+        });
+        assert_hermitian("x", &skew, 1e-9);
     }
 
     proptest! {
@@ -192,6 +215,7 @@ mod tests {
             assert_hermitian("prop", &r, 1e-12);
         }
 
+        #[cfg(debug_assertions)]
         #[test]
         fn any_nan_position_is_caught(
             v in proptest::collection::vec(-5.0f64..5.0, 1..8usize),

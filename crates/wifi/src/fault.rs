@@ -11,7 +11,7 @@
 //! [`crate::impairments`], so the quarantine/degradation machinery
 //! downstream is exercised against realistic garbage.
 //!
-//! Faults draw from a dedicated RNG stream owned by [`FaultState`],
+//! Faults draw from a dedicated RNG stream owned by `FaultState`,
 //! separate from the receiver's impairment RNG: a zero-fault
 //! [`FaultModel`] consumes no randomness at all and leaves the packet
 //! stream byte-identical to a fault-free receiver — the equivalence

@@ -157,19 +157,27 @@ impl ImpairmentModel {
             None
         };
 
+        // The common phase and SFO slope are shared by every chain, so
+        // the rotor is one `cis` per subcarrier, not per sample.
+        let rotors: Vec<Complex64> = subcarrier_indices
+            .iter()
+            .map(|&idx| Complex64::cis(common_phase + slope * idx as f64))
+            .collect();
+        // Complex AWGN: σ²/2 per quadrature.
+        let noise_scale = noise_sigma / 2f64.sqrt();
+        let burst = burst.map(|(lo, hi, sigma)| (lo, hi, sigma / 2f64.sqrt()));
+        // Draw order: antenna-major, then subcarrier; per sample the AWGN
+        // pair before the burst pair.
         for a in 0..packet.antennas() {
-            for (k, &idx) in subcarrier_indices.iter().enumerate() {
-                let rot = Complex64::cis(common_phase + slope * idx as f64);
+            for (k, &rot) in rotors.iter().enumerate() {
                 let mut noise = if noise_sigma > 0.0 {
-                    // Complex AWGN: σ²/2 per quadrature.
-                    Complex64::new(gaussian(rng), gaussian(rng)) * (noise_sigma / 2f64.sqrt())
+                    Complex64::new(gaussian(rng), gaussian(rng)) * noise_scale
                 } else {
                     Complex64::ZERO
                 };
-                if let Some((lo, hi, sigma)) = burst {
+                if let Some((lo, hi, burst_scale)) = burst {
                     if k >= lo && k < hi {
-                        noise +=
-                            Complex64::new(gaussian(rng), gaussian(rng)) * (sigma / 2f64.sqrt());
+                        noise += Complex64::new(gaussian(rng), gaussian(rng)) * burst_scale;
                     }
                 }
                 let h = packet.get_mut(a, k);
@@ -222,7 +230,7 @@ mod tests {
     use super::*;
     use crate::band::INTEL5300_SUBCARRIER_INDICES;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn clean_packet() -> CsiPacket {
         let data = vec![Complex64::ONE; 3 * 30];
@@ -411,6 +419,134 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// The per-(antenna, subcarrier) formulation the rotor loop replaced:
+    /// one `cis` and both σ/√2 scalings per sample. Kept as the oracle
+    /// the production loop must match bit for bit, draws included.
+    fn reference_apply<R: Rng>(
+        model: &ImpairmentModel,
+        packet: &mut CsiPacket,
+        subcarrier_indices: &[i32],
+        reference_power: f64,
+        interferer_center: Option<usize>,
+        rng: &mut R,
+    ) {
+        let common_phase = if model.random_common_phase {
+            rng.gen_range(0.0..std::f64::consts::TAU)
+        } else {
+            0.0
+        };
+        let slope = if model.sfo_slope_std > 0.0 {
+            gaussian(rng) * model.sfo_slope_std
+        } else {
+            0.0
+        };
+        let gain = if model.agc_jitter_db > 0.0 {
+            db_to_amplitude(gaussian(rng) * model.agc_jitter_db)
+        } else {
+            1.0
+        };
+        let noise_sigma = if model.snr_db.is_finite() {
+            (reference_power / mpdf_rfmath::db::db_to_power(model.snr_db)).sqrt()
+        } else {
+            0.0
+        };
+        let burst = if model.interference_prob > 0.0
+            && model.interference_width > 0
+            && rng.gen_range(0.0..1.0) < model.interference_prob
+        {
+            let k = packet.subcarriers();
+            let width = model.interference_width.min(k);
+            let start = match interferer_center {
+                Some(c) => burst_start_covering(c, width, k),
+                None => rng.gen_range(0..=(k - width)),
+            };
+            let sigma = (reference_power
+                * mpdf_rfmath::db::db_to_power(model.interference_power_db))
+            .sqrt();
+            Some((start, start + width, sigma))
+        } else {
+            None
+        };
+        for a in 0..packet.antennas() {
+            for (k, &idx) in subcarrier_indices.iter().enumerate() {
+                let rot = Complex64::cis(common_phase + slope * idx as f64);
+                let mut noise = if noise_sigma > 0.0 {
+                    Complex64::new(gaussian(rng), gaussian(rng)) * (noise_sigma / 2f64.sqrt())
+                } else {
+                    Complex64::ZERO
+                };
+                if let Some((lo, hi, sigma)) = burst {
+                    if k >= lo && k < hi {
+                        noise +=
+                            Complex64::new(gaussian(rng), gaussian(rng)) * (sigma / 2f64.sqrt());
+                    }
+                }
+                let h = packet.get_mut(a, k);
+                *h = *h * rot * gain + noise;
+            }
+        }
+    }
+
+    #[test]
+    fn rotor_loop_matches_the_per_sample_reference_bitwise() {
+        // Distinct, non-trivial clean samples so every rounding shows.
+        let clean = CsiPacket::new(
+            3,
+            30,
+            (0..90)
+                .map(|i| Complex64::cis(0.37 * i as f64) * (0.5 + 0.01 * i as f64))
+                .collect(),
+            0,
+            0.0,
+        );
+        let bursty = ImpairmentModel {
+            interference_prob: 1.0,
+            ..ImpairmentModel::commodity_nic()
+        };
+        let models = [
+            ImpairmentModel::ideal(),
+            ImpairmentModel::commodity_nic(),
+            bursty,
+            ImpairmentModel {
+                interference_prob: 0.0,
+                ..ImpairmentModel::commodity_nic()
+            },
+        ];
+        for model in models {
+            for center in [Some(0), Some(14), Some(29), None] {
+                for seed in 0..16 {
+                    let mut fast_rng = SmallRng::seed_from_u64(seed);
+                    let mut ref_rng = fast_rng.clone();
+                    let mut fast = clean.clone();
+                    let mut expect = clean.clone();
+                    for _ in 0..4 {
+                        model.apply_with_interferer(
+                            &mut fast,
+                            &INTEL5300_SUBCARRIER_INDICES,
+                            0.8,
+                            center,
+                            &mut fast_rng,
+                        );
+                        reference_apply(
+                            &model,
+                            &mut expect,
+                            &INTEL5300_SUBCARRIER_INDICES,
+                            0.8,
+                            center,
+                            &mut ref_rng,
+                        );
+                        assert!(
+                            fast.bits_eq(&expect),
+                            "{model:?} centre {center:?} seed {seed}"
+                        );
+                    }
+                    // Same draws consumed, in the same order.
+                    assert_eq!(fast_rng.next_u64(), ref_rng.next_u64());
+                }
+            }
+        }
     }
 
     #[test]
